@@ -15,7 +15,7 @@ regenerated bit-identically no matter the batch or process layout.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,8 +314,3 @@ def class_proportions(labels: np.ndarray, n_classes: int = 2) -> tuple[float, ..
     if y.size == 0:
         raise ConfigurationError("cannot compute class proportions of an empty set")
     return tuple(float(np.sum(y == k)) / y.size for k in range(n_classes))
-
-
-def with_n_samples(cfg: SynthConfig, n: int) -> SynthConfig:
-    """Convenience copy used when deriving auxiliary sets from a base config."""
-    return replace(cfg, n_samples=n)

@@ -167,6 +167,7 @@ def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradChec
     sm = leaf(3, 5)
     smw = leaf(3, 5)
     op("op.softmax", sm, lambda: (T.softmax(sm, axis=1) * smw).sum())
+    op("op.log_softmax", sm, lambda: (T.log_softmax(sm, axis=1) * smw).sum())
     vn = leaf(4, 6)
     op("op.vector_norm", vn, lambda: T.vector_norm(vn).sum())
     op("op.sum_axis", a, lambda: T.square(a.sum(axis=0)).sum())

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .tensor import Tensor, log, relu, scale, softmax, square
+from .tensor import Tensor, log_softmax, relu, scale, square
 
 __all__ = [
     "MarginLossParams",
@@ -156,8 +156,8 @@ def weighted_capsule_loss(
 def weighted_cross_entropy(
     logits: Tensor, targets: np.ndarray, class_weights: np.ndarray
 ) -> Tensor:
-    """Mean over the batch of w_y * (-log softmax(logits)_y)."""
+    """Mean over the batch of w_y * (-log softmax(logits)_y), finite for any finite logits."""
     t = _validate_targets(targets, logits.shape)
     picked = Tensor(t * np.asarray(class_weights, dtype=np.float64)[None, :])
-    logp = log(softmax(logits, axis=1))
+    logp = log_softmax(logits, axis=1)
     return scale((picked * logp).sum(axis=1).mean(), -1.0)

@@ -38,13 +38,13 @@ __all__ = [
     "sigmoid",
     "matmul",
     "softmax",
+    "log_softmax",
     "vector_norm",
     "tensor_sum",
     "tensor_mean",
     "reshape",
     "transpose",
     "pad2d",
-    "im2col",
     "conv2d",
     "maxpool2d",
 ]
@@ -392,6 +392,19 @@ def softmax(a, axis: int) -> Tensor:
     return _from_op(out, (a,), rule)
 
 
+def log_softmax(a, axis: int) -> Tensor:
+    """Log of softmax along ``axis``, fused so no probability underflows to log(0)."""
+    a = _as_tensor(a)
+    ax = _normalize_axis(axis, a.ndim, "log_softmax")
+    shifted = a.data - a.data.max(axis=ax, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
+
+    def rule(g):
+        return (g - np.exp(out) * g.sum(axis=ax, keepdims=True),)
+
+    return _from_op(out, (a,), rule)
+
+
 def vector_norm(a, eps: float = 1e-12) -> Tensor:
     """Euclidean norm over the last axis, guarded as sqrt(sum(x^2) + eps).
 
@@ -488,70 +501,56 @@ def pad2d(a, padding: int) -> Tensor:
 
 
 # ------------------------------------------------------------------- convolution
-def im2col(a, kernel: int, stride: int = 1) -> Tensor:
-    """Gather kernel x kernel patches into rows: [B, C, H, W] -> [B, P, C*k*k].
-
-    P enumerates output positions row-major. The backward pass scatter-adds
-    each patch gradient back to its source window.
-    """
-    a = _as_tensor(a)
-    if a.ndim != 4:
-        raise DimensionError(f"im2col: expected rank-4 input, got {a.shape}")
-    k, s = int(kernel), int(stride)
-    if s < 1:
-        raise ContractError(f"im2col: stride must be >= 1, got {stride}")
-    bsz, ch, h, w = a.shape
-    if k > h or k > w:
-        raise DimensionError(
-            f"im2col: kernel {k} exceeds spatial extent of input {a.shape}"
-        )
-    ho = (h - k) // s + 1
-    wo = (w - k) // s + 1
-    windows = np.lib.stride_tricks.sliding_window_view(a.data, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::s, ::s]  # [B, C, ho, wo, k, k]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, ch * k * k)
-
-    def rule(g):
-        g6 = g.reshape(bsz, ho, wo, ch, k, k)
-        gx = np.zeros((bsz, ch, h, w))
-        for i in range(k):
-            for j in range(k):
-                gx[:, :, i : i + s * ho : s, j : j + s * wo : s] += g6[
-                    :, :, :, :, i, j
-                ].transpose(0, 3, 1, 2)
-        return (gx,)
-
-    return _from_op(np.ascontiguousarray(cols), (a,), rule)
-
-
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [B, C_in, H, W] with kernels [C_out, C_in, k, k].
 
-    Implemented as patch gathering followed by one matrix multiply, so the
-    backward pass falls out of the composed primitive rules.
+    The input gradient, built only when ``x`` needs one, adds ``g @ w[:, :, i, j]``
+    per kernel offset (i, j) in lexicographic order, as a patch scatter would.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d: expected rank-4 tensors, got {x.shape} and {w.shape}")
-    c_out, c_in, kh, kw = w.shape
-    if kh != kw:
+    c_out, c_in, k, kw = w.shape
+    if k != kw:
         raise DimensionError(f"conv2d: kernels must be square, got {w.shape}")
     if x.shape[1] != c_in:
-        raise DimensionError(
-            f"conv2d: input has {x.shape[1]} channels but kernel expects {c_in}"
-        )
-    p = int(padding)
-    hp, wp = x.shape[2] + 2 * p, x.shape[3] + 2 * p
-    if kh > hp or kh > wp:
-        raise DimensionError(
-            f"conv2d: kernel {kh} exceeds padded input {hp}x{wp}"
-        )
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kh) // stride + 1
-    cols = im2col(pad2d(x, p), kh, stride)  # [B, ho*wo, C_in*k*k]
-    flat = reshape(w, (c_out, c_in * kh * kw))
-    out = matmul(cols, transpose(flat, (1, 0)))  # [B, ho*wo, C_out]
-    return reshape(transpose(out, (0, 2, 1)), (x.shape[0], c_out, ho, wo))
+        raise DimensionError(f"conv2d: input has {x.shape[1]} channels but kernel expects {c_in}")
+    s, p = int(stride), int(padding)
+    if s < 1 or p < 0:
+        raise ContractError(f"conv2d: need stride >= 1 and padding >= 0, got {stride}, {padding}")
+    bsz, _, h, wd = x.shape
+    hp, wp = h + 2 * p, wd + 2 * p
+    if k > hp or k > wp:
+        raise DimensionError(f"conv2d: kernel {k} exceeds padded input {hp}x{wp}")
+    ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz, ho * wo, -1)
+    flat = w.data.reshape(c_out, c_in * k * k)
+    out = np.matmul(cols, flat.T)  # [B, ho*wo, C_out]
+
+    def rule(g):
+        g_rows = g.reshape(bsz, c_out, ho * wo).transpose(0, 2, 1)  # [B, ho*wo, C_out]
+        gx = gw = None
+        if x.requires_grad:
+            if c_in > 1 and ho * wo > 1:
+                g2 = np.ascontiguousarray(g_rows).reshape(bsz * ho * wo, c_out)
+                wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # [k, k, C_out, C_in]
+                terms = (np.matmul(g2, wk[ij]) for ij in np.ndindex(k, k))
+            else:
+                # A one-row or one-column GEMM takes BLAS's matrix-vector path,
+                # which sums in another order; keep the k*k-wide product.
+                g_cols = np.matmul(g_rows, flat).reshape(bsz * ho * wo, c_in, k * k)
+                terms = (g_cols[..., n] for n in range(k * k))
+            buf = np.zeros((bsz, hp, wp, c_in))
+            for (i, j), term in zip(np.ndindex(k, k), terms):
+                buf[:, i : i + s * ho : s, j : j + s * wo : s] += term.reshape(bsz, ho, wo, c_in)
+            gx = np.ascontiguousarray(buf.transpose(0, 3, 1, 2))[:, :, p : p + h, p : p + wd]
+        if w.requires_grad:
+            gw = np.matmul(np.swapaxes(cols, -1, -2), g_rows).sum(axis=0).T.reshape(w.shape)
+        return gx, gw
+
+    return _from_op(out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo), (x, w), rule)
 
 
 def maxpool2d(a, kernel: int) -> Tensor:

@@ -107,6 +107,76 @@ def test_strided_padded_conv_gradients():
         assert relative_error(p.grad, fd_gradient(run, p)) < 1e-6
 
 
+def composed_conv_oracle(x, w, g, stride, padding):
+    """The gather / batched-matmul / strided-scatter composition, in plain numpy.
+
+    Returns the output, the input gradient and the kernel gradient for the
+    upstream gradient ``g``; the fused op must reproduce all three bit for bit.
+    """
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    bsz, cin, hp, wp = xp.shape
+    cout, _, k, _ = w.shape
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, cin * k * k)
+    cols = np.ascontiguousarray(cols)
+    flat = w.reshape(cout, cin * k * k)
+    out = np.matmul(cols, flat.T).transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
+    g_rows = g.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)
+    g_cols = np.matmul(g_rows, flat).reshape(bsz, ho, wo, cin, k, k)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g_cols[
+                :, :, :, :, i, j
+            ].transpose(0, 3, 1, 2)
+    gx = gxp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]]
+    gw = np.matmul(np.swapaxes(cols, -1, -2), g_rows).sum(axis=0).T.reshape(w.shape)
+    return out, gx, gw
+
+
+def assert_conv_matches_composed_oracle(x, w, stride, padding, rng):
+    ho = (x.shape[2] + 2 * padding - w.shape[2]) // stride + 1
+    wo = (x.shape[3] + 2 * padding - w.shape[3]) // stride + 1
+    g = rng.normal(size=(x.shape[0], w.shape[0], ho, wo))
+    want_out, want_gx, want_gw = composed_conv_oracle(x, w, g, stride, padding)
+
+    xt, wt = leaf(x), leaf(w)
+    out = T.conv2d(xt, wt, stride=stride, padding=padding)
+    (out * g).sum().backward()
+    assert_array_equal(out.data, want_out)
+    assert_array_equal(xt.grad, want_gx)
+    assert_array_equal(wt.grad, want_gw)
+
+    # A constant input receives no gradient and leaves the kernel gradient as is.
+    x_const, w_only = Tensor(x), leaf(w)
+    (T.conv2d(x_const, w_only, stride=stride, padding=padding) * g).sum().backward()
+    assert x_const.grad is None
+    assert_array_equal(w_only.grad, want_gw)
+
+
+@pytest.mark.parametrize("cin", [1, 3, 32])
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("bsz", [1, 8])
+def test_conv_is_bit_identical_to_composed_oracle(cin, k, stride, padding, bsz):
+    rng = np.random.default_rng(cin * 1000 + k * 100 + stride * 10 + padding + bsz)
+    x = rng.normal(size=(bsz, cin, 12, 12))
+    w = rng.normal(size=(6, cin, k, k))
+    assert_conv_matches_composed_oracle(x, w, stride, padding, rng)
+
+
+@pytest.mark.parametrize("bsz,size,k,stride", [(8, 12, 12, 1), (1, 12, 12, 1), (8, 6, 5, 2)])
+def test_conv_with_one_output_position_is_bit_identical(bsz, size, k, stride):
+    # One output position per image makes the per-offset GEMMs a single row.
+    rng = np.random.default_rng(size + k)
+    x = rng.normal(size=(bsz, 4, size, size))
+    w = rng.normal(size=(6, 4, k, k))
+    assert_conv_matches_composed_oracle(x, w, stride, 0, rng)
+
+
 def test_pad2d_values_and_gradient():
     x = leaf([[1.0, 2.0], [3.0, 4.0]])
     out = T.pad2d(x.reshape((1, 1, 2, 2)), 1)

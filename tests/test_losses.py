@@ -231,3 +231,14 @@ def test_weighted_cross_entropy_gradient():
 
     run().backward()
     assert relative_error(logits.grad, fd_gradient(run, logits)) < 1e-6
+
+
+def test_weighted_cross_entropy_is_finite_for_large_logit_gaps():
+    # log(softmax(.)) underflows to log(0) = -inf once the gap passes ~745;
+    # the fused log-softmax keeps a confident correct prediction at zero loss.
+    logits = leaf([[0.0, 800.0], [800.0, 0.0]])
+    targets = one_hot(np.array([1, 1]), 2)
+    loss = weighted_cross_entropy(logits, targets, np.ones(2))
+    loss.backward()
+    assert_allclose(loss.item(), 400.0, rtol=1e-12)
+    assert_allclose(logits.grad, [[0.0, 0.0], [0.5, -0.5]], rtol=0, atol=1e-12)

@@ -52,6 +52,14 @@ def test_softmax_constant_is_uniform():
     assert_allclose(out.data, np.full((4, 6), 1.0 / 6.0), rtol=0, atol=1e-15)
 
 
+def test_log_softmax_matches_log_of_softmax_and_survives_large_gaps():
+    x = np.random.default_rng(0).normal(size=(3, 5))
+    assert_allclose(T.log_softmax(leaf(x), axis=1).data, np.log(T.softmax(leaf(x), axis=1).data),
+                    rtol=0, atol=1e-14)
+    out = T.log_softmax(leaf([0.0, 800.0]), axis=0)
+    assert_array_equal(out.data, [-800.0, 0.0])
+
+
 def test_vector_norm_pythagorean():
     out = T.vector_norm(leaf([[3.0, 4.0]]))
     assert_allclose(out.data, [5.0], rtol=1e-12)

@@ -1,8 +1,14 @@
 """Model assembly, the training loop, checkpointing, and run records."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import capsroute
 from capsroute import (
     ConfigurationError,
     EchoDataset,
@@ -217,6 +223,40 @@ def test_identical_runs_produce_identical_records_and_parameters():
     assert rec_a.metric_csv() == rec_b.metric_csv()
     for (name, pa), (_, pb) in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(pa.data, pb.data), name
+
+
+# Trains cardiocaps with attention routing and shared votes, then with dynamic
+# routing and convolutional votes, and prints both canonical records.
+_CROSS_PROCESS_RUN = """
+from capsroute import (MarginLossParams, ModelConfig, RoutingSpec, SynthConfig,
+                       TrainConfig, WeightedLossParams, build_model, evaluate,
+                       generate, split, train)
+data = generate(SynthConfig(n_samples=32, image_size=(1, 32, 32), positive_ratio=0.5, seed=5))
+train_set, val_set, _ = split(data, (0.75, 0.125, 0.125), seed=5)
+for cfg in (ModelConfig(), ModelConfig(affine_kind="conv", routing=RoutingSpec("dynamic"))):
+    model = build_model(cfg, (1, 32, 32), MarginLossParams(),
+                        WeightedLossParams(class_proportions=(0.5, 0.5)), seed=11)
+    record = train(model, train_set, val_set,
+                   TrainConfig(lr=3e-3, batch_size=8, max_epochs=2, patience=2, seed=11))
+    record.metrics["val"] = evaluate(model, val_set)
+    print(record.canonical_text())
+"""
+
+
+def test_records_are_identical_across_processes_and_blas_threads():
+    src = str(Path(capsroute.__file__).resolve().parents[1])
+
+    def run(threads: int) -> str:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        done = subprocess.run([sys.executable, "-c", _CROSS_PROCESS_RUN], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        return done.stdout
+
+    one_thread, two_threads = run(1), run(2)
+    assert one_thread.count("[epochs]") == 2  # both records were printed
+    assert one_thread == two_threads
 
 
 def test_train_rejects_empty_splits():
