@@ -69,7 +69,6 @@ class CapsuleBank:
     """
 
     activations: Tensor  # [B, n_caps, d]
-    role: str = "primary"
     grid: tuple[int, int] | None = None
     caps_per_cell: int | None = None
 
@@ -123,9 +122,7 @@ class PrimaryCapsules:
         caps = z.reshape((bsz, self.caps_per_cell, self.d, hg, wg))
         caps = caps.transpose((0, 3, 4, 1, 2))
         caps = caps.reshape((bsz, hg * wg * self.caps_per_cell, self.d))
-        return CapsuleBank(
-            squash(caps), role="primary", grid=(hg, wg), caps_per_cell=self.caps_per_cell
-        )
+        return CapsuleBank(squash(caps), grid=(hg, wg), caps_per_cell=self.caps_per_cell)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -312,7 +309,7 @@ def dynamic_routing(votes: Tensor, iterations: int) -> tuple[CapsuleBank, Routin
         state.coefficients.append(coupling.data.copy())
         state.outputs.append(v.data.copy())
     state.logits = logits.data.copy()
-    return CapsuleBank(v, role="digit"), state
+    return CapsuleBank(v), state
 
 
 def attention_routing(
@@ -343,7 +340,7 @@ def attention_routing(
     state = RoutingState(
         logits=logits.data.copy(), coefficients=[attn.data.copy()], outputs=[v.data.copy()]
     )
-    return CapsuleBank(v, role="digit"), state
+    return CapsuleBank(v), state
 
 
 class DynamicRouting:

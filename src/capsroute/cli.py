@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import bench, config as cfg_mod, data, experiment, gradcheck, models
 from .errors import CapsrouteError, ConfigurationError
+from .training import evaluate
 
 __all__ = ["main"]
 
@@ -69,23 +70,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    run_dir = Path(args.run_dir)
-    if not (run_dir / "config.txt").is_file():
-        raise ConfigurationError(f"{run_dir} is not a run directory (no config.txt)")
-    file_values = cfg_mod.parse_config_file(run_dir / "config.txt")
-    cfg = cfg_mod.resolve(file_values)
-    dataset = data.load(args.data)
-    proportions = data.class_proportions(dataset.labels, cfg["n_classes"])
-    model = models.build_model(
-        cfg_mod.model_config_from(cfg),
-        tuple(cfg["image_size"]),
-        cfg_mod.margin_params_from(cfg),
-        cfg_mod.weighted_params_from(cfg, proportions),
-        seed=cfg["seed"],
-    )
-    models.load_params(model, run_dir / "model.npz")
-    from .training import evaluate
-
+    model, dataset = experiment.load_run(args.run_dir, args.data)
     report = evaluate(model, dataset)
     print(report.to_text())
     print(report.confusion_table())

@@ -1,15 +1,18 @@
-"""Plain-text key=value configuration with documented defaults.
+"""Plain-text key=value configuration, derived from the dataclasses it feeds.
 
 A config file contains one ``key=value`` pair per line; blank lines and
-``#`` comments are ignored. Keys mirror the dataclass fields they feed
-(``SynthConfig`` keys carry their own names except the generator seed, which
-is exposed as ``data_seed`` so it cannot collide with the training seed).
-Unknown keys are rejected. Command-line ``--set key=value`` pairs override
-file values, which override the defaults below.
+``#`` comments are ignored. ``_KEYS`` maps each key to the dataclass field it
+feeds, whose default and type give the key's default and parser (a tuple
+value must keep the default's length); only the three split keys, which no
+dataclass owns, state their defaults here. The generator seed is exposed as
+``data_seed`` so it cannot collide with the training seed. Unknown keys and
+malformed values raise ``ConfigurationError``. Command-line ``--set
+key=value`` pairs override file values, which override the defaults.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Callable
 
 from .capsules import RoutingSpec
@@ -30,84 +33,87 @@ __all__ = [
     "default_config_text",
 ]
 
+# key -> (owning dataclass, field name, help text). The split keys belong to no
+# dataclass: their owner is None and the middle entry is the default itself.
+_KEYS: dict[str, tuple[type | None, Any, str]] = {
+    # data generation
+    "n_samples": (SynthConfig, "n_samples", "number of synthetic samples to render"),
+    "image_size": (SynthConfig, "image_size", "channels,height,width"),
+    "positive_ratio": (SynthConfig, "positive_ratio", "fraction of label-1 samples (exact count)"),
+    "rotation_range_train": (SynthConfig, "rotation_range_train", "degrees, lo,hi"),
+    "rotation_range_test": (SynthConfig, "rotation_range_test", "degrees, lo,hi"),
+    "translation_range": (SynthConfig, "translation_range", "max |chamber jitter| in pixels"),
+    "width_normal": (SynthConfig, "width_normal", "label-0 chamber width interval, px"),
+    "width_dilated": (SynthConfig, "width_dilated", "label-1 chamber width interval, px"),
+    "noise_sigma": (SynthConfig, "noise_sigma", "additive Gaussian noise level inside the cone"),
+    "data_seed": (SynthConfig, "seed", "generator seed (distinct from the training seed)"),
+    "allow_width_overlap": (SynthConfig, "allow_width_overlap", "permit overlapping width intervals"),
+    "rotation_shift_test": (None, False, "render the test split from rotation_range_test"),
+    "split_fractions": (None, (0.8, 0.1, 0.1), "train,val,test fractions"),
+    "split_seed": (None, 10, "seed for the stratified split shuffle"),
+    # model
+    "architecture": (ModelConfig, "architecture", "cardiocaps | cnn1 | cnn2"),
+    "hidden_dim": (ModelConfig, "hidden_dim", "stem width / primary conv channels"),
+    "conv_kernel": (ModelConfig, "conv_kernel", "stem and primary conv kernel size"),
+    "d_primary": (ModelConfig, "d_primary", "primary capsule dimensionality"),
+    "d_digit": (ModelConfig, "d_digit", "digit capsule dimensionality"),
+    "n_classes": (ModelConfig, "n_classes", "number of digit capsules"),
+    "affine_kind": (ModelConfig, "affine_kind", "vote transform: shared | conv | constant"),
+    "routing_method": (RoutingSpec, "method", "dynamic | attention"),
+    "routing_iterations": (RoutingSpec, "iterations", "rounds of dynamic routing"),
+    "attention_softmax_axis": (RoutingSpec, "softmax_axis", "input_caps | output_caps"),
+    "attention_scale_by_sqrt_d": (RoutingSpec, "scale_by_sqrt_d", "scale attention logits by 1/sqrt(d_digit)"),
+    "decoder_hidden": (ModelConfig, "decoder_hidden", "decoder layer widths"),
+    "positive_class": (ModelConfig, "positive_class", "capsule index scored for ranking metrics"),
+    # loss
+    "weight_mode": (WeightedLossParams, "weight_mode", "literal | inverse | uniform class weighting"),
+    "lambda_reg": (WeightedLossParams, "lambda_reg", "regression (auxiliary) loss multiplier"),
+    "lambda_recon": (WeightedLossParams, "lambda_recon", "reconstruction loss multiplier"),
+    "m_plus": (MarginLossParams, "m_plus", "presence margin"),
+    "m_minus": (MarginLossParams, "m_minus", "absence margin"),
+    "negative_weight": (MarginLossParams, "negative_weight", "down-weight of absent-class margin terms"),
+    # training
+    "lr": (TrainConfig, "lr", "Adam learning rate"),
+    "batch_size": (TrainConfig, "batch_size", "minibatch size"),
+    "max_epochs": (TrainConfig, "max_epochs", "upper bound on training epochs"),
+    "patience": (TrainConfig, "patience", "epochs without val improvement before stopping"),
+    "seed": (TrainConfig, "seed", "experiment seed: init, shuffling, and records"),
+}
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {raw!r}")
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigurationError(f"expected comma-separated numbers, got {raw!r}") from None
+def _parser(key: str, default: Any) -> Callable[[str], Any]:
+    """Parse a raw string to the type of ``default``; a tuple needs its length."""
+    arity = len(default) if isinstance(default, tuple) else None
+    kind = type(default[0] if arity else default)
+    expected = f"{arity} comma-separated {kind.__name__} values" if arity else kind.__name__
 
+    def scalar(part: str):
+        return _BOOLEANS[part.strip().lower()] if kind is bool else kind(part)
 
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigurationError(f"expected comma-separated integers, got {raw!r}") from None
-
-
-def _pair(parser: Callable, name: str) -> Callable:
     def parse(raw: str):
-        values = parser(raw)
-        if len(values) != 2:
-            raise ConfigurationError(f"{name} needs exactly two values, got {raw!r}")
-        return values
+        parts = raw.split(",") if arity else [raw]
+        if len(parts) == (arity or 1):
+            try:
+                values = tuple(scalar(part) for part in parts)
+                return values if arity else values[0]
+            except (KeyError, ValueError):
+                pass
+        raise ConfigurationError(f"{key} expects {expected}, got {raw!r}")
 
     return parse
 
 
+def _entry(key: str, owner: type | None, name: Any, help_text: str):
+    default = name if owner is None else {f.name: f.default for f in fields(owner)}[name]
+    return default, _parser(key, default), help_text
+
+
 # key -> (default value, parser, help text)
 SCHEMA: dict[str, tuple[Any, Callable[[str], Any], str]] = {
-    # data generation
-    "n_samples": (2000, int, "number of synthetic samples to render"),
-    "image_size": ((1, 32, 32), lambda r: tuple(_parse_ints(r)), "channels,height,width"),
-    "positive_ratio": (0.2, float, "fraction of label-1 samples (exact count)"),
-    "rotation_range_train": ((-15.0, 15.0), _pair(_parse_floats, "rotation_range_train"), "degrees, lo,hi"),
-    "rotation_range_test": ((-45.0, 45.0), _pair(_parse_floats, "rotation_range_test"), "degrees, lo,hi"),
-    "translation_range": (2.0, float, "max |chamber jitter| in pixels"),
-    "width_normal": ((6.0, 9.0), _pair(_parse_floats, "width_normal"), "label-0 chamber width interval, px"),
-    "width_dilated": ((10.0, 13.0), _pair(_parse_floats, "width_dilated"), "label-1 chamber width interval, px"),
-    "noise_sigma": (0.08, float, "additive Gaussian noise level inside the cone"),
-    "data_seed": (10, int, "generator seed (distinct from the training seed)"),
-    "allow_width_overlap": (False, _parse_bool, "permit overlapping width intervals"),
-    "rotation_shift_test": (False, _parse_bool, "render the test split from rotation_range_test"),
-    "split_fractions": ((0.8, 0.1, 0.1), lambda r: tuple(_parse_floats(r)), "train,val,test fractions"),
-    "split_seed": (10, int, "seed for the stratified split shuffle"),
-    # model
-    "architecture": ("cardiocaps", str, "cardiocaps | cnn1 | cnn2"),
-    "hidden_dim": (32, int, "stem width / primary conv channels"),
-    "conv_kernel": (9, int, "stem and primary conv kernel size"),
-    "d_primary": (8, int, "primary capsule dimensionality"),
-    "d_digit": (16, int, "digit capsule dimensionality"),
-    "n_classes": (2, int, "number of digit capsules"),
-    "affine_kind": ("shared", str, "vote transform: shared | conv | constant"),
-    "routing_method": ("attention", str, "dynamic | attention"),
-    "routing_iterations": (3, int, "rounds of dynamic routing"),
-    "attention_softmax_axis": ("input_caps", str, "input_caps | output_caps"),
-    "attention_scale_by_sqrt_d": (False, _parse_bool, "scale attention logits by 1/sqrt(d_digit)"),
-    "decoder_hidden": ((128, 256), _pair(_parse_ints, "decoder_hidden"), "decoder layer widths"),
-    "positive_class": (1, int, "capsule index scored for ranking metrics"),
-    # loss
-    "weight_mode": ("inverse", str, "literal | inverse | uniform class weighting"),
-    "lambda_reg": (0.05, float, "regression (auxiliary) loss multiplier"),
-    "lambda_recon": (0.0005, float, "reconstruction loss multiplier"),
-    "m_plus": (0.9, float, "presence margin"),
-    "m_minus": (0.1, float, "absence margin"),
-    "negative_weight": (0.5, float, "down-weight of absent-class margin terms"),
-    # training
-    "lr": (1e-4, float, "Adam learning rate"),
-    "batch_size": (8, int, "minibatch size"),
-    "max_epochs": (100, int, "upper bound on training epochs"),
-    "patience": (5, int, "epochs without val improvement before stopping"),
-    "seed": (10, int, "experiment seed: init, shuffling, and records"),
+    key: _entry(key, *spec) for key, spec in _KEYS.items()
 }
 
 
@@ -153,66 +159,30 @@ def config_snapshot(cfg: dict[str, Any]) -> dict[str, str]:
     return {k: fmt(cfg[k]) for k in sorted(cfg)}
 
 
+def _build(cls: type, cfg: dict[str, Any], **fixed):
+    """Instantiate ``cls`` from the config keys it owns plus the ``fixed`` fields."""
+    owned = {name: cfg[key] for key, (owner, name, _) in _KEYS.items() if owner is cls}
+    return cls(**owned, **fixed)
+
+
 def synth_config_from(cfg: dict[str, Any]) -> SynthConfig:
-    return SynthConfig(
-        n_samples=cfg["n_samples"],
-        image_size=tuple(cfg["image_size"]),
-        positive_ratio=cfg["positive_ratio"],
-        rotation_range_train=tuple(cfg["rotation_range_train"]),
-        rotation_range_test=tuple(cfg["rotation_range_test"]),
-        translation_range=cfg["translation_range"],
-        width_normal=tuple(cfg["width_normal"]),
-        width_dilated=tuple(cfg["width_dilated"]),
-        noise_sigma=cfg["noise_sigma"],
-        seed=cfg["data_seed"],
-        allow_width_overlap=cfg["allow_width_overlap"],
-    )
+    return _build(SynthConfig, cfg)
 
 
 def model_config_from(cfg: dict[str, Any]) -> ModelConfig:
-    routing = RoutingSpec(
-        method=cfg["routing_method"],
-        iterations=cfg["routing_iterations"],
-        softmax_axis=cfg["attention_softmax_axis"],
-        scale_by_sqrt_d=cfg["attention_scale_by_sqrt_d"],
-    )
-    return ModelConfig(
-        architecture=cfg["architecture"],
-        hidden_dim=cfg["hidden_dim"],
-        conv_kernel=cfg["conv_kernel"],
-        d_primary=cfg["d_primary"],
-        d_digit=cfg["d_digit"],
-        n_classes=cfg["n_classes"],
-        affine_kind=cfg["affine_kind"],
-        routing=routing,
-        decoder_hidden=tuple(cfg["decoder_hidden"]),
-        positive_class=cfg["positive_class"],
-    )
+    return _build(ModelConfig, cfg, routing=_build(RoutingSpec, cfg))
 
 
 def train_config_from(cfg: dict[str, Any]) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["lr"],
-        batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-    )
+    return _build(TrainConfig, cfg)
 
 
 def margin_params_from(cfg: dict[str, Any]) -> MarginLossParams:
-    return MarginLossParams(
-        m_plus=cfg["m_plus"], m_minus=cfg["m_minus"], negative_weight=cfg["negative_weight"]
-    )
+    return _build(MarginLossParams, cfg)
 
 
 def weighted_params_from(cfg: dict[str, Any], proportions: tuple[float, ...]) -> WeightedLossParams:
-    return WeightedLossParams(
-        class_proportions=proportions,
-        weight_mode=cfg["weight_mode"],
-        lambda_reg=cfg["lambda_reg"],
-        lambda_recon=cfg["lambda_recon"],
-    )
+    return _build(WeightedLossParams, cfg, class_proportions=proportions)
 
 
 def default_config_text() -> str:

@@ -223,7 +223,11 @@ def save(dataset: EchoDataset, path) -> None:
 
 
 def load(path) -> EchoDataset:
-    """Read an ECAP file; raises ``DataFormatError`` with a byte offset on damage."""
+    """Read an ECAP file; raises ``DataFormatError`` with a byte offset on damage.
+
+    Damage includes a NaN or infinite pixel or target, reported at the offset
+    of the first sample that holds one.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -256,6 +260,12 @@ def load(path) -> EchoDataset:
         labels[i] = label
         regs[i] = np.float32(reg)
         offset += stride
+    finite = np.isfinite(images).all(axis=(1, 2, 3)) & np.isfinite(regs)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise DataFormatError(
+            f"sample {first} holds a non-finite pixel or target", offset=_HEADER.size + first * stride
+        )
     return EchoDataset(images, labels, regs)
 
 

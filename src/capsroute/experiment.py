@@ -1,23 +1,27 @@
 """End-to-end experiment orchestration shared by the CLI and the test suite.
 
 ``run_experiment`` turns one resolved configuration into data, a model, a
-training run, and per-split metrics. ``sweep_lambda`` repeats that across a
-grid of auxiliary-loss multipliers on fixed data.
+training run, and per-split metrics; ``load_run`` restores that model from its
+run directory. ``sweep_lambda`` repeats a run across a grid of auxiliary-loss
+multipliers on fixed data.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import config as cfg_mod
-from .data import EchoDataset, class_proportions, generate, split
-from .models import build_model
+from .data import EchoDataset, class_proportions, generate, load, split
+from .errors import ConfigurationError
+from .models import build_model, load_params
 from .training import ExperimentRecord, evaluate, train
 
-__all__ = ["prepare_splits", "run_experiment", "sweep_lambda", "lambda_table"]
+__all__ = ["prepare_splits", "build_configured_model", "run_experiment", "load_run",
+           "sweep_lambda", "lambda_table"]
 
 
 def prepare_splits(cfg: dict[str, Any]) -> tuple[EchoDataset, EchoDataset, EchoDataset]:
@@ -49,6 +53,17 @@ def prepare_splits(cfg: dict[str, Any]) -> tuple[EchoDataset, EchoDataset, EchoD
     return train_set, val_set, test_set
 
 
+def build_configured_model(cfg: dict[str, Any], labels: np.ndarray):
+    """Build the configured model, weighting its loss by the class mix of ``labels``."""
+    return build_model(
+        cfg_mod.model_config_from(cfg),
+        cfg["image_size"],
+        cfg_mod.margin_params_from(cfg),
+        cfg_mod.weighted_params_from(cfg, class_proportions(labels, cfg["n_classes"])),
+        seed=cfg["seed"],
+    )
+
+
 def run_experiment(
     cfg: dict[str, Any],
     splits: tuple[EchoDataset, EchoDataset, EchoDataset] | None = None,
@@ -59,14 +74,7 @@ def run_experiment(
     rerun from that snapshot reproduces it bit for bit (timings aside).
     """
     train_set, val_set, test_set = splits if splits is not None else prepare_splits(cfg)
-    proportions = class_proportions(train_set.labels, cfg["n_classes"])
-    model = build_model(
-        cfg_mod.model_config_from(cfg),
-        tuple(cfg["image_size"]),
-        cfg_mod.margin_params_from(cfg),
-        cfg_mod.weighted_params_from(cfg, proportions),
-        seed=cfg["seed"],
-    )
+    model = build_configured_model(cfg, train_set.labels)
     record = train(
         model, train_set, val_set, cfg_mod.train_config_from(cfg), cfg_mod.config_snapshot(cfg)
     )
@@ -75,6 +83,23 @@ def run_experiment(
     if len(test_set):
         record.metrics["test"] = evaluate(model, test_set)
     return model, record
+
+
+def load_run(run_dir, data_path) -> tuple[Any, EchoDataset]:
+    """Restore a trained run's model from its ``config.txt`` and ``model.npz``.
+
+    Returns the model and the ECAP dataset at ``data_path``, whose class mix
+    weights the model's loss. The run directory is checked before the data is
+    read.
+    """
+    run_dir = Path(run_dir)
+    if not (run_dir / "config.txt").is_file():
+        raise ConfigurationError(f"{run_dir} is not a run directory (no config.txt)")
+    cfg = cfg_mod.resolve(cfg_mod.parse_config_file(run_dir / "config.txt"))
+    dataset = load(data_path)
+    model = build_configured_model(cfg, dataset.labels)
+    load_params(model, run_dir / "model.npz")
+    return model, dataset
 
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5)

@@ -32,6 +32,16 @@ def _as_binary(name: str, values) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _as_scores(scores, labels: np.ndarray) -> np.ndarray:
+    s = np.asarray(scores, dtype=np.float64)
+    if s.shape != labels.shape:
+        raise ContractError(f"scores {s.shape} and labels {labels.shape} differ in length")
+    n_bad = int(np.count_nonzero(~np.isfinite(s)))
+    if n_bad:
+        raise ContractError(f"scores hold {n_bad} non-finite values")
+    return s
+
+
 def confusion_counts(preds, labels) -> tuple[int, int, int, int]:
     """Return (tp, fp, tn, fn) with class 1 as positive."""
     p = _as_binary("predictions", preds)
@@ -68,9 +78,7 @@ def roc_auc(scores, labels) -> float:
     classes are present.
     """
     y = _as_binary("labels", labels)
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ContractError(f"scores {s.shape} and labels {y.shape} differ in length")
+    s = _as_scores(scores, y)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -99,9 +107,7 @@ def pr_auc(scores, labels) -> float:
     is weighted by the recall the group adds. Requires at least one positive.
     """
     y = _as_binary("labels", labels)
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != y.shape:
-        raise ContractError(f"scores {s.shape} and labels {y.shape} differ in length")
+    s = _as_scores(scores, y)
     n_pos = int(y.sum())
     if n_pos == 0:
         raise UndefinedMetricError("pr_auc needs at least one positive label")

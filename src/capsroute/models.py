@@ -21,7 +21,6 @@ from .capsules import (
     PrimaryCapsules,
     RegressionHead,
     RoutingSpec,
-    RoutingState,
     classify,
     make_affine,
     make_routing,
@@ -83,7 +82,6 @@ class CapsuleOutputs:
     norms: Tensor  # [B, C]
     reg_pred: Tensor  # [B]
     recon: Tensor  # [B, C_img*H*W]
-    routing_state: RoutingState
 
 
 class CapsuleClassifier:
@@ -143,14 +141,12 @@ class CapsuleClassifier:
         x = relu(conv2d(images, self.conv_weight) + self.conv_bias.reshape((1, -1, 1, 1)))
         bank = self.primary(x)
         votes = self.affine(bank)
-        digit_bank, state = self.routing(votes)
-        v = digit_bank.activations
+        v = self.routing(votes)[0].activations
         return CapsuleOutputs(
             digit_caps=v,
             norms=vector_norm(v),
             reg_pred=self.reg_head(v),
             recon=self.decoder(v),
-            routing_state=state,
         )
 
     def training_loss(self, images: Tensor, labels: np.ndarray, reg_targets: np.ndarray):
@@ -276,9 +272,11 @@ def save_params(model, path) -> None:
 
 
 def load_params(model, path) -> None:
+    """Copy a checkpoint into the model, which is left untouched if any check fails."""
     with np.load(path) as archive:
         stored = dict(archive)
-    for name, p in model.parameters():
+    params = model.parameters()
+    for name, p in params:
         if name not in stored:
             raise ConfigurationError(f"checkpoint is missing parameter {name!r}")
         if stored[name].shape != p.data.shape:
@@ -286,7 +284,10 @@ def load_params(model, path) -> None:
                 f"checkpoint parameter {name!r} has shape {stored[name].shape}, "
                 f"model expects {p.data.shape}"
             )
-        p.data = stored[name].astype(np.float64)
-    extra = set(stored) - {name for name, _ in model.parameters()}
+        if not np.isfinite(stored[name]).all():
+            raise ConfigurationError(f"checkpoint parameter {name!r} holds NaN or inf")
+    extra = set(stored) - {name for name, _ in params}
     if extra:
         raise ConfigurationError(f"checkpoint has unknown parameters: {sorted(extra)}")
+    for name, p in params:
+        p.data = stored[name].astype(np.float64)

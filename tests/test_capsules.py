@@ -132,7 +132,7 @@ def test_primary_capsules_gradcheck():
 
 def grid_bank(rng, hg=2, wg=3, cpl=2, d=4) -> CapsuleBank:
     u = leaf(rng.normal(size=(2, hg * wg * cpl, d)))
-    return CapsuleBank(u, role="primary", grid=(hg, wg), caps_per_cell=cpl)
+    return CapsuleBank(u, grid=(hg, wg), caps_per_cell=cpl)
 
 
 def test_constant_affine_sums_components():

@@ -1,5 +1,8 @@
 """Configuration parsing, precedence rules, and the command-line surface."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,30 @@ def test_resolve_rejects_malformed_values():
         resolve({"decoder_hidden": "wide,narrow"})
 
 
+def _malformed_values():
+    """(key, raw) pairs that no non-str key may accept: a bad element for every
+    key, and one value too few and too many for every tuple key."""
+    for key, (default, _, _) in SCHEMA.items():
+        if isinstance(default, str):
+            continue
+        if not isinstance(default, tuple):
+            yield key, "abc"
+            continue
+        values = config_snapshot({key: default})[key].split(",")
+        yield key, ",".join(["abc"] * len(values))
+        yield key, ",".join(values[:-1])
+        yield key, ",".join(values + values[:1])
+
+
+@pytest.mark.parametrize("key,raw", list(_malformed_values()))
+def test_cli_rejects_malformed_values_naming_the_key(tmp_path, capsys, key, raw):
+    out = tmp_path / "x.ecap"
+    assert main(["gen-data", "--set", f"{key}={raw}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
 def test_default_config_text_round_trips(tmp_path):
     path = tmp_path / "defaults.cfg"
     path.write_text(default_config_text())
@@ -135,6 +162,14 @@ def test_builders_map_config_keys():
     assert weighted.weight_mode == "literal"
     assert weighted.class_proportions == (0.7, 0.3)
     assert weighted.lambda_reg == 0.1
+
+
+def test_readme_config_tables_list_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", section, flags=re.MULTILINE)
+    assert [key for key, _ in rows] == list(SCHEMA)
+    assert dict(rows) == config_snapshot(resolve())
 
 
 # ------------------------------------------------------------------ CLI surface

@@ -204,6 +204,25 @@ def test_ecap_bad_label_byte(tmp_path):
     assert err.value.offset == first_label_at
 
 
+@pytest.mark.parametrize("damage", ["pixel", "target"])
+def test_ecap_rejects_non_finite_values_naming_the_sample_offset(tmp_path, damage):
+    path = tmp_path / "nan.ecap"
+    cfg = small_cfg(n_samples=4, positive_ratio=0.25)
+    ds = generate(cfg)
+    if damage == "pixel":
+        ds.images[2, 0, 5, 7] = np.nan
+    else:
+        ds.reg_targets[2] = np.inf
+    ds.images[3, 0, 0, 0] = -np.inf  # a later damaged sample is not the one named
+    save(ds, path)
+    c, h, w = cfg.image_size
+    sample_at = 18 + 2 * (4 * c * h * w + 1 + 4)
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert err.value.offset == sample_at
+    assert f"byte offset {sample_at}" in str(err.value)
+
+
 # ---------------------------------------------------------------------- splits
 
 

@@ -111,6 +111,15 @@ def test_undefined_cases_raise():
         pr_auc([0.1, 0.2], [0, 0])
 
 
+@pytest.mark.parametrize("metric", [roc_auc, pr_auc])
+def test_non_finite_scores_are_rejected(metric):
+    # NaN never equals itself, so tie grouping would never advance past it.
+    scores = [0.2, np.nan, 0.7, np.inf, 0.1]
+    labels = [0, 1, 1, 0, 1]
+    with pytest.raises(ContractError, match="2 non-finite"):
+        metric(scores, labels)
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ContractError):
         roc_auc([0.1, 0.2, 0.3], [1, 0])

@@ -344,6 +344,23 @@ def test_load_rejects_unknown_parameter(tmp_path):
     assert "rogue.weight" in str(err.value)
 
 
+def test_load_rejects_non_finite_parameter(tmp_path):
+    model = tiny_model()
+    stored = {name: p.data + 1.0 for name, p in model.parameters()}
+    names = list(stored)
+    stored[names[2]].flat[5] = np.nan
+    stored[names[-1]].flat[0] = np.inf  # a later damaged parameter is not the one named
+    path = tmp_path / "nan.npz"
+    np.savez(path, **stored)
+    before = [p.data.copy() for _, p in model.parameters()]
+    with pytest.raises(ConfigurationError) as err:
+        load_params(model, path)
+    assert names[2] in str(err.value)
+    assert names[-1] not in str(err.value)
+    # a rejected checkpoint leaves every parameter as it was
+    assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.parameters()))
+
+
 # ------------------------------------------------------------------ run records
 
 
