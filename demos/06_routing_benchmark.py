@@ -12,10 +12,10 @@ med = {(r.method, r.n_in, r.iterations): r.median_seconds for r in rows}
 print("speedup of attention over dynamic routing, per vote-tensor width:")
 for n_in in sorted({r.n_in for r in rows}):
     for r_iters in (1, 2, 3):
-        ratio = med[("dynamic", n_in, r_iters)] / med[("attention", n_in, r_iters)]
+        ratio = med[("dynamic", n_in, r_iters)] / med[("attention", n_in, 1)]
         print(f"  n_in={n_in:5d}, dynamic r={r_iters}: {ratio:4.1f}x")
 
 print()
-print("dynamic routing costs one weighted-sum + squash + agreement update per")
-print("iteration; attention computes its scores once, so its cost is close to a")
-print("single dynamic iteration regardless of r.")
+print("dynamic routing costs one weighted-sum + squash per round and one")
+print("agreement update between rounds; attention scores its votes once, so its")
+print("cost is close to a single dynamic round regardless of r.")

@@ -10,12 +10,10 @@ deterministic seeding throughout.
 from __future__ import annotations
 
 from .capsules import (
-    AttentionRouting,
     CapsuleBank,
     ConstantAffine,
     ConvAffine,
     Decoder,
-    DynamicRouting,
     PrimaryCapsules,
     RegressionHead,
     RoutingSpec,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "AttentionRouting",
     "CapsuleBank",
     "CapsuleClassifier",
     "CapsrouteError",
@@ -76,7 +73,6 @@ __all__ = [
     "DataFormatError",
     "Decoder",
     "DimensionError",
-    "DynamicRouting",
     "EchoDataset",
     "EpochStats",
     "ExperimentRecord",

@@ -1,9 +1,10 @@
 """Wall-clock micro-benchmark comparing the two routing procedures.
 
 Timings run under ``no_grad`` on shared random vote tensors so both methods
-see identical inputs and neither pays graph-recording costs. The attention
-pass has no iteration count; its single measurement per shape is repeated
-across the requested r values to keep the table rectangular.
+see identical inputs and neither pays graph-recording costs. Each method is
+timed through the ``make_routing`` layer a model runs. Dynamic routing gets one
+row per shape and r; the single-pass attention method gets one row per shape,
+with iterations 1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capsules import attention_routing, dynamic_routing
+from .capsules import RoutingSpec, make_routing
 from .tensor import Tensor, no_grad
 
 __all__ = ["BenchRow", "bench_routing", "rows_to_csv"]
@@ -58,18 +59,15 @@ def bench_routing(
 ) -> list[BenchRow]:
     """Median per-call seconds of dynamic(r) and attention routing per vote shape."""
     rng = np.random.default_rng(seed)
+    specs = [RoutingSpec("dynamic", r) for r in r_values] + [RoutingSpec("attention", 1)]
     rows: list[BenchRow] = []
     with no_grad():
         for n_in, n_out, d_out in shapes:
             votes = Tensor(rng.normal(0.0, 0.5, size=(batch, n_in, n_out, d_out)))
-            weight = Tensor(rng.normal(0.0, 0.3, size=(d_out, 1)))
-            bias = Tensor(np.zeros(()))
-            for r in r_values:
-                med = _time_call(lambda: dynamic_routing(votes, r), repeats)
-                rows.append(BenchRow("dynamic", n_in, n_out, d_out, r, med))
-            att = _time_call(lambda: attention_routing(votes, weight, bias), repeats)
-            for r in r_values:  # r is unused by the single-pass method
-                rows.append(BenchRow("attention", n_in, n_out, d_out, r, att))
+            for spec in specs:
+                router = make_routing(spec, d_out)
+                med = _time_call(lambda: router(votes), repeats)
+                rows.append(BenchRow(spec.method, n_in, n_out, d_out, spec.iterations, med))
     return rows
 
 

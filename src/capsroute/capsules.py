@@ -5,7 +5,7 @@ whose length (always < 1 after squashing) encodes presence. Votes are rank-4
 tensors [B, N_in, N_out, D_out]: one predicted output vector per
 (input capsule, output capsule) pair. Routing turns votes into output
 capsules, either iteratively (dynamic agreement) or in a single attention
-pass.
+pass; the ``Routing`` layer runs the one its ``RoutingSpec`` names.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ __all__ = [
     "RoutingState",
     "dynamic_routing",
     "attention_routing",
-    "DynamicRouting",
-    "AttentionRouting",
+    "Routing",
     "make_routing",
     "Decoder",
     "RegressionHead",
@@ -273,16 +272,19 @@ class RoutingSpec:
 
 @dataclass
 class RoutingState:
-    """Diagnostics captured during routing (plain arrays, not graph nodes)."""
+    """Per-round coupling coefficients and squashed outputs, one entry per round.
 
-    logits: np.ndarray  # final [B, N_in, N_out]
-    coefficients: list[np.ndarray] = field(default_factory=list)  # one per iteration
-    outputs: list[np.ndarray] = field(default_factory=list)  # squashed v per iteration
+    The arrays are the routing graph's own ``.data``, not copies; no op writes
+    to them in place, and neither may a reader: the state is read-only.
+    """
+
+    coefficients: list[np.ndarray] = field(default_factory=list)  # [B, N_in, N_out]
+    outputs: list[np.ndarray] = field(default_factory=list)  # [B, N_out, D_out]
 
 
 def _check_votes(votes: Tensor) -> tuple[int, int, int, int]:
-    if votes.ndim != 4:
-        raise DimensionError(f"routing expects votes [B, N_in, N_out, D_out], got {votes.shape}")
+    if votes.ndim != 4 or 0 in votes.shape:
+        raise DimensionError(f"routing expects non-empty votes [B, N_in, N_out, D_out], got {votes.shape}")
     return votes.shape
 
 
@@ -291,24 +293,23 @@ def dynamic_routing(votes: Tensor, iterations: int) -> tuple[CapsuleBank, Routin
 
     Starting from zero logits, each round softmaxes the logits over output
     capsules, forms weighted vote sums, squashes them, and reinforces logits
-    by the dot product between votes and outputs. Gradients flow through every
-    iteration; nothing is detached.
+    by the dot product between votes and outputs. The last round's agreement
+    would feed nothing, so r rounds make r - 1 updates. Gradients flow through
+    every iteration; nothing is detached.
     """
     if iterations < 1:
         raise ConfigurationError(f"dynamic routing needs iterations >= 1, got {iterations}")
     bsz, n_in, n_out, d_out = _check_votes(votes)
     logits = Tensor(np.zeros((bsz, n_in, n_out)))
-    state = RoutingState(logits=np.zeros((bsz, n_in, n_out)))
-    v = None
-    for _ in range(iterations):
+    state = RoutingState()
+    for it in range(iterations):
         coupling = softmax(logits, axis=2)
         s = (coupling.reshape((bsz, n_in, n_out, 1)) * votes).sum(axis=1)
         v = squash(s)
-        agreement = (votes * v.reshape((bsz, 1, n_out, d_out))).sum(axis=-1)
-        logits = logits + agreement
-        state.coefficients.append(coupling.data.copy())
-        state.outputs.append(v.data.copy())
-    state.logits = logits.data.copy()
+        state.coefficients.append(coupling.data)
+        state.outputs.append(v.data)
+        if it + 1 < iterations:
+            logits = logits + (votes * v.reshape((bsz, 1, n_out, d_out))).sum(axis=-1)
     return CapsuleBank(v), state
 
 
@@ -337,54 +338,34 @@ def attention_routing(
     attn = softmax(logits, axis=axis)
     s = (attn.reshape((bsz, n_in, n_out, 1)) * votes).sum(axis=1)
     v = squash(s)
-    state = RoutingState(
-        logits=logits.data.copy(), coefficients=[attn.data.copy()], outputs=[v.data.copy()]
-    )
-    return CapsuleBank(v), state
+    return CapsuleBank(v), RoutingState([attn.data], [v.data])
 
 
-class DynamicRouting:
-    """Parameter-free wrapper running ``dynamic_routing`` a fixed number of rounds."""
+class Routing:
+    """The routing layer of a model: ``spec.method`` picks the algorithm.
 
-    def __init__(self, iterations: int = 3):
-        self.iterations = iterations
+    Only attention routing has parameters, the shared projection ``weight``
+    [d_out, 1] and scalar ``bias``. They start at zero, so attention starts
+    uniform, and receive gradients as soon as votes differ.
+    """
 
-    def __call__(self, votes: Tensor) -> tuple[CapsuleBank, RoutingState]:
-        return dynamic_routing(votes, self.iterations)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return []
-
-
-class AttentionRouting:
-    """Learned single-pass routing; holds the shared projection weights."""
-
-    def __init__(
-        self,
-        d_out: int,
-        softmax_axis: str = "input_caps",
-        scale_by_sqrt_d: bool = False,
-    ):
-        # Zero projection means uniform attention at initialization; weights
-        # receive gradients as soon as votes differ.
-        self.weight = Tensor(np.zeros((d_out, 1)), requires_grad=True)
-        self.bias = Tensor(np.zeros(()), requires_grad=True)
-        self.softmax_axis = softmax_axis
-        self.scale_by_sqrt_d = scale_by_sqrt_d
+    def __init__(self, spec: RoutingSpec, d_out: int):
+        self.spec = spec
+        if spec.method == "attention":
+            self.weight = Tensor(np.zeros((d_out, 1)), requires_grad=True)
+            self.bias = Tensor(np.zeros(()), requires_grad=True)
 
     def __call__(self, votes: Tensor) -> tuple[CapsuleBank, RoutingState]:
-        return attention_routing(
-            votes, self.weight, self.bias, self.softmax_axis, self.scale_by_sqrt_d
-        )
+        spec = self.spec
+        if spec.method == "dynamic":
+            return dynamic_routing(votes, spec.iterations)
+        return attention_routing(votes, self.weight, self.bias, spec.softmax_axis, spec.scale_by_sqrt_d)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)]
+        return [("weight", self.weight), ("bias", self.bias)] if self.spec.method == "attention" else []
 
 
-def make_routing(spec: RoutingSpec, d_out: int):
-    if spec.method == "dynamic":
-        return DynamicRouting(spec.iterations)
-    return AttentionRouting(d_out, spec.softmax_axis, spec.scale_by_sqrt_d)
+make_routing = Routing
 
 
 # ------------------------------------------------------------------- read-outs

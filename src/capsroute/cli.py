@@ -86,10 +86,20 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+def _positive_ints(flag: str, raw: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise ConfigurationError(f"{flag} expects comma-separated integers, got {raw!r}") from None
+    if min(values) < 1:
+        raise ConfigurationError(f"{flag} expects positive integers, got {raw!r}")
+    return values
+
+
 def _parse_shapes(raw: str):
     shapes = []
     for part in raw.split(";"):
-        dims = tuple(int(x) for x in part.split(","))
+        dims = _positive_ints("--shapes", part)
         if len(dims) != 3:
             raise ConfigurationError(f"shape needs n_in,n_out,d_out, got {part!r}")
         shapes.append(dims)
@@ -97,9 +107,11 @@ def _parse_shapes(raw: str):
 
 
 def _cmd_bench_routing(args) -> int:
+    if args.repeats < 1:
+        raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
     rows = bench.bench_routing(
         shapes=_parse_shapes(args.shapes),
-        r_values=tuple(int(x) for x in args.iterations.split(",")),
+        r_values=_positive_ints("--iterations", args.iterations),
         repeats=args.repeats,
     )
     text = bench.rows_to_csv(rows)
@@ -175,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CapsrouteError as err:
+    except (CapsrouteError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -241,11 +241,11 @@ def test_cli_bench_routing_writes_csv(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("method,n_in,n_out,d_out,iterations,")
-    # two shapes x two methods x two r values (attention repeats its timing per r)
-    assert len(lines) == 1 + 2 * 2 * 2
+    # per shape: one dynamic row per r value plus a single attention row
+    assert len(lines) == 1 + 2 * 3
     attention_rows = [l for l in lines[1:] if l.startswith("attention,8,")]
-    assert len(attention_rows) == 2
-    assert attention_rows[0].rsplit(",", 2)[-1] == attention_rows[1].rsplit(",", 2)[-1]
+    assert len(attention_rows) == 1
+    assert attention_rows[0].split(",")[4] == "1"
 
 
 def test_cli_sweep_lambda_emits_table(tmp_path, capsys):
@@ -265,6 +265,39 @@ def test_cli_errors_exit_with_code_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--run-dir", str(tmp_path / "nowhere"), "--data", "also-nowhere"]) == 2
     assert "config.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-data", "eval-data", "config"])
+def test_cli_missing_file_exits_with_code_two(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.file")
+    run_dir = str(tmp_path / "run")
+    if command == "train-data":
+        argv = ["train", *tiny_args(), "--data", missing, "--run-dir", run_dir]
+    elif command == "eval-data":
+        assert main(["train", *tiny_args("max_epochs=1"), "--run-dir", run_dir]) == 0
+        argv = ["eval", "--run-dir", run_dir, "--data", missing]
+    else:
+        argv = ["gen-data", "--config", missing, "--out", str(tmp_path / "x.ecap")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing.file" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--shapes", "8,2,x"),
+        ("--iterations", "1,x"),
+        ("--shapes", "0,2,4"),
+        ("--shapes", "8,0,4"),
+        ("--repeats", "0"),
+    ],
+)
+def test_cli_bench_routing_rejects_bad_values(capsys, flag, value):
+    assert main(["bench-routing", "--repeats", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and (flag in err or "votes" in err)
 
 
 def test_cli_module_entry_point():

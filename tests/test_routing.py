@@ -15,7 +15,7 @@ from capsroute.capsules import (
     dynamic_routing,
     squash,
 )
-from capsroute.errors import ConfigurationError
+from capsroute.errors import ConfigurationError, DimensionError
 from capsroute.gradcheck import fd_gradient, relative_error
 from capsroute.tensor import Tensor
 
@@ -173,6 +173,23 @@ def test_dynamic_identical_votes_keep_inputs_interchangeable():
 def test_dynamic_rejects_zero_iterations():
     with pytest.raises(ConfigurationError):
         dynamic_routing(leaf(np.zeros((1, 2, 2, 2))), iterations=0)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2, 2), (1, 0, 2, 2), (1, 2, 0, 2), (1, 2, 2, 0)])
+def test_routing_rejects_empty_votes(shape):
+    votes = leaf(np.zeros(shape))
+    with pytest.raises(DimensionError, match="votes"):
+        dynamic_routing(votes, iterations=2)
+    with pytest.raises(DimensionError, match="votes"):
+        attention_routing(votes, leaf(np.zeros((shape[3], 1))), leaf(np.zeros(())))
+
+
+def test_routing_state_holds_the_graph_arrays_not_copies():
+    votes = leaf(np.random.default_rng(13).normal(size=(2, 4, 3, 5)))
+    bank, state = dynamic_routing(votes, iterations=2)
+    assert state.outputs[-1] is bank.activations.data
+    bank, state = attention_routing(votes, leaf(np.zeros((5, 1))), leaf(np.zeros(())))
+    assert state.outputs[0] is bank.activations.data
 
 
 def test_dynamic_gradients_flow_through_iterations():

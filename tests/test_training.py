@@ -93,6 +93,36 @@ def test_constant_affine_has_fewer_parameters_than_shared():
     assert vote_params == []
 
 
+CAPSULE_HEAD = ["conv.weight", "conv.bias", "primary.weight", "primary.bias"]
+CAPSULE_TAIL = [
+    "decoder.fc1.weight", "decoder.fc1.bias",
+    "decoder.fc2.weight", "decoder.fc2.bias",
+    "decoder.fc3.weight", "decoder.fc3.bias",
+    "regression.weight", "regression.bias",
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, names",
+    [
+        ({}, CAPSULE_HEAD + ["votes.weight", "routing.weight", "routing.bias"] + CAPSULE_TAIL),
+        (
+            {"affine_kind": "conv", "routing": RoutingSpec(method="dynamic")},
+            CAPSULE_HEAD + ["votes.weight", "votes.bias"] + CAPSULE_TAIL,
+        ),
+        ({"affine_kind": "constant"}, CAPSULE_HEAD + ["routing.weight", "routing.bias"] + CAPSULE_TAIL),
+        (
+            {"architecture": "cnn1"},
+            ["conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias", "fc.weight", "fc.bias"],
+        ),
+    ],
+    ids=["attention-shared", "dynamic-conv", "constant", "cnn1"],
+)
+def test_parameter_names_are_the_checkpoint_keys(overrides, names):
+    # save_params keys model.npz by these names; renaming one orphans every saved run.
+    assert [name for name, _ in tiny_model(**overrides).parameters()] == names
+
+
 def tiny_model_with_image(image_size, **overrides):
     cfg = ModelConfig.small(**overrides)
     return build_model(
