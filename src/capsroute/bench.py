@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capsules import RoutingSpec, make_routing
+from .errors import ConfigurationError
 from .tensor import Tensor, no_grad
 
 __all__ = ["BenchRow", "bench_routing", "rows_to_csv"]
@@ -58,6 +59,8 @@ def bench_routing(
     seed: int = 0,
 ) -> list[BenchRow]:
     """Median per-call seconds of dynamic(r) and attention routing per vote shape."""
+    if repeats < 1:
+        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     specs = [RoutingSpec("dynamic", r) for r in r_values] + [RoutingSpec("attention", 1)]
     rows: list[BenchRow] = []

@@ -71,14 +71,6 @@ class CapsuleBank:
     grid: tuple[int, int] | None = None
     caps_per_cell: int | None = None
 
-    @property
-    def n_caps(self) -> int:
-        return self.activations.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.activations.shape[2]
-
 
 class PrimaryCapsules:
     """Strided convolution whose output channels regroup into squashed capsules.
@@ -266,6 +258,8 @@ class RoutingSpec:
     def __post_init__(self):
         if self.method not in ("dynamic", "attention"):
             raise ConfigurationError(f"unknown routing method: {self.method!r}")
+        if self.iterations < 1:
+            raise ConfigurationError(f"routing iterations must be >= 1, got {self.iterations}")
         if self.softmax_axis not in ("input_caps", "output_caps"):
             raise ConfigurationError(f"unknown softmax axis: {self.softmax_axis!r}")
 

@@ -8,10 +8,11 @@ Every command accepts ``--config FILE`` (key=value lines) and repeated
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-from . import bench, config as cfg_mod, data, experiment, gradcheck, models
+from . import bench, config as cfg_mod, data, experiment, gradcheck
 from .errors import CapsrouteError, ConfigurationError
 from .training import evaluate
 
@@ -55,14 +56,8 @@ def _cmd_train(args) -> int:
     cfg = _resolved_config(args)
     splits = _load_splits(args, cfg)
     model, record = experiment.run_experiment(cfg, splits=splits)
-    run_dir = Path(args.run_dir)
-    _write(run_dir / "record.txt", record.to_text())
-    _write(run_dir / "config.txt", "\n".join(f"{k}={v}" for k, v in sorted(record.config.items())) + "\n")
-    _write(run_dir / "metrics.csv", record.metric_csv())
-    report = record.metrics.get("test") or record.metrics["val"]
-    _write(run_dir / "confusion.txt", report.confusion_table() + "\n")
-    models.save_params(model, run_dir / "model.npz")
-    print(f"run artifacts in {run_dir}")
+    experiment.save_run(args.run_dir, model, record)
+    print(f"run artifacts in {args.run_dir}")
     for name in sorted(record.metrics):
         print(f"--- {name} ---")
         print(record.metrics[name].to_text())
@@ -96,6 +91,16 @@ def _positive_ints(flag: str, raw: str) -> tuple[int, ...]:
     return values
 
 
+def _lambda_grid(raw: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(x) for x in raw.split(","))
+    except ValueError:
+        raise ConfigurationError(f"--grid expects comma-separated numbers, got {raw!r}") from None
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ConfigurationError(f"--grid expects finite non-negative numbers, got {raw!r}")
+    return values
+
+
 def _parse_shapes(raw: str):
     shapes = []
     for part in raw.split(";"):
@@ -125,8 +130,7 @@ def _cmd_bench_routing(args) -> int:
 
 def _cmd_sweep_lambda(args) -> int:
     cfg = _resolved_config(args)
-    grid = tuple(float(x) for x in args.grid.split(","))
-    results = experiment.sweep_lambda(cfg, grid)
+    results = experiment.sweep_lambda(cfg, _lambda_grid(args.grid))
     table = experiment.lambda_table(results)
     if args.out:
         _write(Path(args.out), table)

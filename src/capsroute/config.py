@@ -6,12 +6,13 @@ feeds, whose default and type give the key's default and parser (a tuple
 value must keep the default's length); only the three split keys, which no
 dataclass owns, state their defaults here. The generator seed is exposed as
 ``data_seed`` so it cannot collide with the training seed. Unknown keys and
-malformed values raise ``ConfigurationError``. Command-line ``--set
-key=value`` pairs override file values, which override the defaults.
+malformed or non-finite values raise ``ConfigurationError``. Command-line
+``--set key=value`` pairs override file values, which override the defaults.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Any, Callable
 
@@ -19,6 +20,7 @@ from .capsules import RoutingSpec
 from .data import SynthConfig
 from .errors import ConfigurationError
 from .losses import MarginLossParams, WeightedLossParams
+from .metrics import format_value
 from .models import ModelConfig
 from .training import TrainConfig
 
@@ -98,9 +100,12 @@ def _parser(key: str, default: Any) -> Callable[[str], Any]:
         if len(parts) == (arity or 1):
             try:
                 values = tuple(scalar(part) for part in parts)
-                return values if arity else values[0]
             except (KeyError, ValueError):
                 pass
+            else:
+                if kind is float and not all(math.isfinite(v) for v in values):
+                    raise ConfigurationError(f"{key} expects finite numbers, got {raw!r}")
+                return values if arity else values[0]
         raise ConfigurationError(f"{key} expects {expected}, got {raw!r}")
 
     return parse
@@ -146,17 +151,7 @@ def resolve(file_values: dict[str, str] | None = None, overrides: dict[str, str]
 
 def config_snapshot(cfg: dict[str, Any]) -> dict[str, str]:
     """Stringify a resolved config for embedding in an experiment record."""
-
-    def fmt(v) -> str:
-        if isinstance(v, tuple):
-            return ",".join(fmt(x) for x in v)
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    return {k: fmt(cfg[k]) for k in sorted(cfg)}
+    return {k: format_value(cfg[k]) for k in sorted(cfg)}
 
 
 def _build(cls: type, cfg: dict[str, Any], **fixed):

@@ -203,29 +203,36 @@ def generate(
 _MAGIC = b"ECAP"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIHHH")  # magic, version, count, channels, height, width
-_SAMPLE_TAIL = struct.Struct("<Bf")  # label, regression target
+
+
+def _record(c: int, h: int, w: int) -> np.dtype:
+    """One ECAP sample, unpadded: float32 pixels row-major, a u8 label, a float32 target."""
+    return np.dtype([("image", "<f4", (c, h, w)), ("label", "u1"), ("target", "<f4")])
 
 
 def save(dataset: EchoDataset, path) -> None:
     """Write the dataset in the little-endian ECAP container.
 
     Layout: magic ``ECAP``, u32 version (=1), u32 sample count, u16 channels,
-    u16 height, u16 width, then per sample the float32 pixels row-major,
-    a u8 label, and the float32 regression target.
+    u16 height, u16 width, then one ``_record`` per sample: the float32
+    pixels row-major, a u8 label, and the float32 regression target.
     """
     n = len(dataset)
     _, c, h, w = dataset.images.shape
+    records = np.empty(n, dtype=_record(c, h, w))
+    records["image"] = dataset.images
+    records["label"] = dataset.labels
+    records["target"] = dataset.reg_targets
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, n, c, h, w))
-        for i in range(n):
-            fh.write(np.ascontiguousarray(dataset.images[i], dtype="<f4").tobytes())
-            fh.write(_SAMPLE_TAIL.pack(int(dataset.labels[i]), float(dataset.reg_targets[i])))
+        fh.write(records.data)
 
 
 def load(path) -> EchoDataset:
     """Read an ECAP file; raises ``DataFormatError`` with a byte offset on damage.
 
-    Damage includes a NaN or infinite pixel or target, reported at the offset
+    Damage includes a label byte other than 0 or 1, reported at the first such
+    byte, and then a NaN or infinite pixel or target, reported at the offset
     of the first sample that holds one.
     """
     with open(path, "rb") as fh:
@@ -239,34 +246,31 @@ def load(path) -> EchoDataset:
         raise DataFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
     if version != _VERSION:
         raise DataFormatError(f"unsupported version {version}", offset=4)
-    pixel_bytes = 4 * c * h * w
-    stride = pixel_bytes + _SAMPLE_TAIL.size
-    expected = _HEADER.size + count * stride
+    record = _record(c, h, w)
+    expected = _HEADER.size + count * record.itemsize
     if len(blob) != expected:
         raise DataFormatError(
             f"file is {len(blob)} bytes but {count} samples need {expected}",
             offset=min(len(blob), expected),
         )
-    images = np.empty((count, c, h, w), dtype=np.float32)
-    labels = np.empty(count, dtype=np.uint8)
-    regs = np.empty(count, dtype=np.float32)
-    offset = _HEADER.size
-    for i in range(count):
-        pix = np.frombuffer(blob, dtype="<f4", count=c * h * w, offset=offset)
-        images[i] = pix.reshape(c, h, w)
-        label, reg = _SAMPLE_TAIL.unpack_from(blob, offset + pixel_bytes)
-        if label not in (0, 1):
-            raise DataFormatError(f"label byte must be 0 or 1, got {label}", offset=offset + pixel_bytes)
-        labels[i] = label
-        regs[i] = np.float32(reg)
-        offset += stride
+    records = np.frombuffer(blob, dtype=record, count=count, offset=_HEADER.size)
+    bad = np.flatnonzero(records["label"] > 1)
+    if bad.size:
+        first = int(bad[0])
+        raise DataFormatError(
+            f"label byte must be 0 or 1, got {records['label'][first]}",
+            offset=_HEADER.size + first * record.itemsize + record.fields["label"][1],
+        )
+    images = records["image"].astype(np.float32, order="C")
+    regs = records["target"].astype(np.float32)
     finite = np.isfinite(images).all(axis=(1, 2, 3)) & np.isfinite(regs)
     if not finite.all():
         first = int(np.argmin(finite))
         raise DataFormatError(
-            f"sample {first} holds a non-finite pixel or target", offset=_HEADER.size + first * stride
+            f"sample {first} holds a non-finite pixel or target",
+            offset=_HEADER.size + first * record.itemsize,
         )
-    return EchoDataset(images, labels, regs)
+    return EchoDataset(images, records["label"].astype(np.uint8), regs)
 
 
 # ----------------------------------------------------------------------- splits

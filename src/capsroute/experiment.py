@@ -1,9 +1,9 @@
 """End-to-end experiment orchestration shared by the CLI and the test suite.
 
 ``run_experiment`` turns one resolved configuration into data, a model, a
-training run, and per-split metrics; ``load_run`` restores that model from its
-run directory. ``sweep_lambda`` repeats a run across a grid of auxiliary-loss
-multipliers on fixed data.
+training run, and per-split metrics; ``save_run`` writes them to a run
+directory and ``load_run`` restores the model from it. ``sweep_lambda``
+repeats a run across a grid of auxiliary-loss multipliers on fixed data.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import numpy as np
 from . import config as cfg_mod
 from .data import EchoDataset, class_proportions, generate, load, split
 from .errors import ConfigurationError
-from .models import build_model, load_params
+from .metrics import format_value
+from .models import build_model, load_params, save_params
 from .training import ExperimentRecord, evaluate, train
 
-__all__ = ["prepare_splits", "build_configured_model", "run_experiment", "load_run",
+__all__ = ["prepare_splits", "build_configured_model", "run_experiment", "save_run", "load_run",
            "sweep_lambda", "lambda_table"]
 
 
@@ -85,6 +86,19 @@ def run_experiment(
     return model, record
 
 
+def save_run(run_dir, model, record: ExperimentRecord) -> None:
+    """Write a run directory: ``record.txt``, ``config.txt``, ``metrics.csv``,
+    ``confusion.txt`` (test split, else val) and the ``model.npz`` weights."""
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    report = record.metrics.get("test") or record.metrics["val"]
+    for name, text in (("record.txt", record.to_text()), ("config.txt", record.config_text()),
+                       ("metrics.csv", record.metric_csv()),
+                       ("confusion.txt", report.confusion_table() + "\n")):
+        (run_dir / name).write_text(text, encoding="utf-8")
+    save_params(model, run_dir / "model.npz")
+
+
 def load_run(run_dir, data_path) -> tuple[Any, EchoDataset]:
     """Restore a trained run's model from its ``config.txt`` and ``model.npz``.
 
@@ -128,9 +142,5 @@ def lambda_table(results: list[tuple[float, ExperimentRecord]], split_name: str 
     rows = ["lambda,accuracy,f1,roc_auc,pr_auc"]
     for lam, record in results:
         m = record.metrics[split_name]
-
-        def fmt(v):
-            return "undefined" if v is None else repr(float(v))
-
-        rows.append(f"{lam!r},{fmt(m.accuracy)},{fmt(m.f1)},{fmt(m.roc_auc)},{fmt(m.pr_auc)}")
+        rows.append(",".join(map(format_value, (lam, m.accuracy, m.f1, m.roc_auc, m.pr_auc))))
     return "\n".join(rows) + "\n"

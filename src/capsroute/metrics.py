@@ -2,18 +2,20 @@
 
 Class 1 is the positive class throughout. Ranking metrics raise
 ``UndefinedMetricError`` on degenerate inputs instead of guessing; report
-containers render those as an explicit ``undefined`` marker.
+containers render those as an explicit ``undefined`` marker. ``format_value``
+is the one value formatter of every text record and file the package writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ContractError, UndefinedMetricError
 
 __all__ = [
+    "format_value",
     "confusion_counts",
     "accuracy_score",
     "f1_score",
@@ -21,6 +23,20 @@ __all__ = [
     "pr_auc",
     "MetricsReport",
 ]
+
+
+def format_value(v) -> str:
+    """Render one record value: ``undefined`` for None, tuples comma-joined,
+    bools as true/false and floats by their shortest round-trip repr."""
+    if v is None:
+        return "undefined"
+    if isinstance(v, tuple):
+        return ",".join(format_value(x) for x in v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
 
 
 def _as_binary(name: str, values) -> np.ndarray:
@@ -149,19 +165,16 @@ class MetricsReport:
     @classmethod
     def from_predictions(cls, preds, scores, labels) -> "MetricsReport":
         tp, fp, tn, fn = confusion_counts(preds, labels)
-        try:
-            roc = roc_auc(scores, labels)
-        except UndefinedMetricError:
-            roc = None
-        try:
-            pr = pr_auc(scores, labels)
-        except UndefinedMetricError:
-            pr = None
+        ranking = {}
+        for metric in (roc_auc, pr_auc):
+            try:
+                ranking[metric.__name__] = metric(scores, labels)
+            except UndefinedMetricError:
+                ranking[metric.__name__] = None
         return cls(
             accuracy=accuracy_score(preds, labels),
             f1=f1_score(preds, labels),
-            roc_auc=roc,
-            pr_auc=pr,
+            **ranking,
             tp=tp,
             fp=fp,
             tn=tn,
@@ -170,20 +183,7 @@ class MetricsReport:
         )
 
     def _items(self) -> list[tuple[str, str]]:
-        def fmt(v):
-            return "undefined" if v is None else repr(float(v))
-
-        return [
-            ("accuracy", fmt(self.accuracy)),
-            ("f1", fmt(self.f1)),
-            ("roc_auc", fmt(self.roc_auc)),
-            ("pr_auc", fmt(self.pr_auc)),
-            ("tp", str(self.tp)),
-            ("fp", str(self.fp)),
-            ("tn", str(self.tn)),
-            ("fn", str(self.fn)),
-            ("n_samples", str(self.n_samples)),
-        ]
+        return [(f.name, format_value(getattr(self, f.name))) for f in fields(self)]
 
     def to_text(self) -> str:
         """Flat key=value block, one metric per line."""

@@ -11,13 +11,13 @@ accumulation and break the contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import EchoDataset
 from .errors import ConfigurationError
-from .metrics import MetricsReport
+from .metrics import MetricsReport, format_value
 from .optim import Adam
 from .tensor import Tensor, no_grad
 
@@ -40,6 +40,8 @@ class TrainConfig:
             raise ConfigurationError("batch_size and max_epochs must be >= 1")
         if self.patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
+        if not (self.lr > 0 and self.eps > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigurationError(f"Adam needs lr, eps > 0 and beta1, beta2 in [0, 1), got {self}")
 
 
 @dataclass
@@ -52,16 +54,7 @@ class EpochStats:
     val_total: float
 
     def line(self) -> str:
-        return ",".join(
-            [
-                str(self.epoch),
-                repr(self.train_total),
-                repr(self.train_classification),
-                repr(self.train_regression),
-                repr(self.train_reconstruction),
-                repr(self.val_total),
-            ]
-        )
+        return ",".join(format_value(getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass
@@ -75,13 +68,13 @@ class ExperimentRecord:
     timings: dict[str, float] = field(default_factory=dict)
     best_epoch: int = 0
 
+    def config_text(self) -> str:
+        """The ``key=value`` config block, sorted by key: ``config.txt`` and ``[config]``."""
+        return "".join(f"{k}={v}\n" for k, v in sorted(self.config.items()))
+
     def to_text(self, include_timings: bool = True) -> str:
-        lines = ["[config]"]
-        lines += [f"{k}={v}" for k, v in sorted(self.config.items())]
-        lines.append("[seed]")
-        lines.append(f"seed={self.seed}")
-        lines.append("[epochs]")
-        lines.append("epoch,train_total,train_classification,train_regression,train_reconstruction,val_total")
+        lines = ["[seed]", f"seed={self.seed}", "[epochs]",
+                 ",".join(f.name for f in fields(EpochStats))]
         lines += [e.line() for e in self.epochs]
         lines.append(f"best_epoch={self.best_epoch}")
         for split_name in sorted(self.metrics):
@@ -90,7 +83,7 @@ class ExperimentRecord:
         if include_timings:
             lines.append("[timings]")  # volatile: excluded from canonical_text()
             lines += [f"{k}={v:.6f}" for k, v in sorted(self.timings.items())]
-        return "\n".join(lines) + "\n"
+        return "[config]\n" + self.config_text() + "\n".join(lines) + "\n"
 
     def canonical_text(self) -> str:
         """Deterministic serialization: identical runs compare equal as strings."""
@@ -152,7 +145,7 @@ def train(
     started = time.perf_counter()
 
     for epoch in range(1, tc.max_epochs + 1):
-        sums = {"total": 0.0, "classification": 0.0, "regression": 0.0, "reconstruction": 0.0}
+        sums: dict[str, float] = {}
         perm = shuffle_rng.permutation(len(train_set))
         for idx in _batch_indices(len(train_set), tc.batch_size):
             chosen = perm[idx]
@@ -163,20 +156,13 @@ def train(
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            for key in sums:
-                sums[key] += parts[key] * chosen.size
+            for key, value in parts.items():
+                sums[key] = sums.get(key, 0.0) + value * chosen.size
 
         n = len(train_set)
         val_total = validation_loss(model, val_set, tc.batch_size)
         record.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                train_total=sums["total"] / n,
-                train_classification=sums["classification"] / n,
-                train_regression=sums["regression"] / n,
-                train_reconstruction=sums["reconstruction"] / n,
-                val_total=val_total,
-            )
+            EpochStats(epoch, **{f"train_{k}": v / n for k, v in sums.items()}, val_total=val_total)
         )
         if val_total < best_val:
             best_val = val_total

@@ -266,3 +266,9 @@ def test_routing_spec_validation():
         RoutingSpec(method="nonsense")
     with pytest.raises(ConfigurationError):
         RoutingSpec(softmax_axis="diagonal")
+
+
+@pytest.mark.parametrize("method", ["dynamic", "attention"])
+def test_routing_spec_rejects_fewer_than_one_iteration(method):
+    with pytest.raises(ConfigurationError, match="iterations must be >= 1, got 0"):
+        RoutingSpec(method, 0)

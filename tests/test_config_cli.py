@@ -100,17 +100,25 @@ def test_resolve_rejects_malformed_values():
 
 def _malformed_values():
     """(key, raw) pairs that no non-str key may accept: a bad element for every
-    key, and one value too few and too many for every tuple key."""
+    key, one value too few and too many for every tuple key, and a NaN and an
+    infinite element for every float key."""
     for key, (default, _, _) in SCHEMA.items():
         if isinstance(default, str):
             continue
+        is_float = isinstance(default[0] if isinstance(default, tuple) else default, float)
         if not isinstance(default, tuple):
             yield key, "abc"
+            if is_float:
+                yield key, "nan"
+                yield key, "inf"
             continue
         values = config_snapshot({key: default})[key].split(",")
         yield key, ",".join(["abc"] * len(values))
         yield key, ",".join(values[:-1])
         yield key, ",".join(values + values[:1])
+        if is_float:
+            yield key, ",".join(["nan"] + values[1:])
+            yield key, ",".join(values[:-1] + ["-inf"])
 
 
 @pytest.mark.parametrize("key,raw", list(_malformed_values()))
@@ -256,6 +264,15 @@ def test_cli_sweep_lambda_emits_table(tmp_path, capsys):
     assert lines[0] == "lambda,accuracy,f1,roc_auc,pr_auc"
     assert len(lines) == 2
     assert lines[1].startswith("0.05,")
+
+
+@pytest.mark.parametrize("grid", ["0.1,x", "", "nan", "0.1,inf", "-0.5"])
+def test_cli_sweep_lambda_rejects_bad_grid(tmp_path, capsys, grid):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-lambda", *tiny_args(), "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--grid" in err
+    assert not out.exists()
 
 
 def test_cli_errors_exit_with_code_two(tmp_path, capsys):

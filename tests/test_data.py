@@ -1,5 +1,7 @@
 """Synthetic data: determinism, geometry, the ECAP container, and splits."""
 
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -146,6 +148,18 @@ def test_ecap_round_trip_and_resave_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_ecap_bytes_match_a_per_sample_struct_reference(tmp_path):
+    ds = generate(small_cfg(n_samples=5, positive_ratio=0.4, image_size=(3, 16, 12),
+                            width_normal=(3.0, 3.0), width_dilated=(5.0, 5.0),
+                            translation_range=0.0))
+    path = tmp_path / "ref.ecap"
+    save(ds, path)
+    expected = struct.pack("<4sIIHHH", b"ECAP", 1, 5, 3, 16, 12)
+    for img, label, target in zip(ds.images, ds.labels, ds.reg_targets):
+        expected += img.astype("<f4").tobytes() + struct.pack("<Bf", int(label), float(target))
+    assert path.read_bytes() == expected
+
+
 def test_ecap_file_size_formula(tmp_path):
     cfg = small_cfg(n_samples=5, positive_ratio=0.2, image_size=(1, 16, 12),
                     width_normal=(3.0, 3.0), width_dilated=(5.0, 5.0),
@@ -221,6 +235,69 @@ def test_ecap_rejects_non_finite_values_naming_the_sample_offset(tmp_path, damag
         load(path)
     assert err.value.offset == sample_at
     assert f"byte offset {sample_at}" in str(err.value)
+
+
+def _stride(cfg) -> int:
+    c, h, w = cfg.image_size
+    return 4 * c * h * w + 1 + 4
+
+
+def test_ecap_bad_label_in_a_later_sample_names_that_sample(tmp_path):
+    path = tmp_path / "lab.ecap"
+    cfg = small_cfg(n_samples=4, positive_ratio=0.25)
+    save(generate(cfg), path)
+    blob = bytearray(path.read_bytes())
+    label_at = 18 + 3 * _stride(cfg) + _stride(cfg) - 5
+    blob[label_at] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert err.value.offset == label_at
+    assert str(err.value) == f"label byte must be 0 or 1, got 2 (byte offset {label_at})"
+
+
+def test_ecap_bad_label_outranks_an_earlier_non_finite_pixel(tmp_path):
+    path = tmp_path / "both.ecap"
+    cfg = small_cfg(n_samples=4, positive_ratio=0.25)
+    ds = generate(cfg)
+    ds.images[0, 0, 3, 3] = np.nan
+    save(ds, path)
+    blob = bytearray(path.read_bytes())
+    label_at = 18 + 2 * _stride(cfg) + _stride(cfg) - 5
+    blob[label_at] = 255
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert err.value.offset == label_at
+    assert "got 255" in str(err.value)
+
+
+def test_ecap_zero_sample_dataset_round_trips(tmp_path):
+    empty = EchoDataset(
+        np.zeros((0, 3, 12, 10), dtype=np.float32),
+        np.zeros(0, dtype=np.uint8),
+        np.zeros(0, dtype=np.float32),
+    )
+    path = tmp_path / "empty.ecap"
+    save(empty, path)
+    assert path.stat().st_size == 18
+    back = load(path)
+    assert back.images.shape == (0, 3, 12, 10)
+    assert back.same_as(empty)
+    assert back.images.dtype == np.float32 and back.labels.dtype == np.uint8
+    assert back.reg_targets.dtype == np.float32
+
+
+def test_ecap_load_returns_writeable_native_arrays(tmp_path):
+    path = tmp_path / "one.ecap"
+    ds = generate(small_cfg(n_samples=4, positive_ratio=0.25))
+    for n in (1, 4):
+        save(ds.subset(np.arange(n)), path)
+        back = load(path)
+        for arr, dtype in ((back.images, np.float32), (back.labels, np.uint8),
+                           (back.reg_targets, np.float32)):
+            assert arr.dtype == dtype and arr.dtype.isnative
+            assert arr.flags.writeable and arr.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------- splits

@@ -283,3 +283,10 @@ def test_attention_gradcheck_including_projection():
     run().backward()
     for p in (votes, w, b):
         assert relative_error(p.grad, fd_gradient(run, p)) < 1e-5
+
+
+def test_bench_routing_rejects_fewer_than_one_repeat():
+    from capsroute.bench import bench_routing
+
+    with pytest.raises(ConfigurationError, match="repeats must be >= 1, got 0"):
+        bench_routing(shapes=((8, 2, 4),), repeats=0)

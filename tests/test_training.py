@@ -30,6 +30,7 @@ from capsroute import (
     train,
     validation_loss,
 )
+from capsroute.experiment import lambda_table
 from capsroute.training import EpochStats, ExperimentRecord
 
 TINY_SYNTH = SynthConfig(
@@ -289,6 +290,16 @@ def test_records_are_identical_across_processes_and_blas_threads():
     assert one_thread == two_threads
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("eps", 0.0), ("eps", float("nan")),
+     ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0), ("beta2", float("nan"))],
+)
+def test_train_config_rejects_values_outside_their_range(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_train_rejects_empty_splits():
     empty = EchoDataset(
         np.zeros((0, 1, 4, 4), dtype=np.float32),
@@ -447,3 +458,34 @@ def test_metric_csv_prefixes_rows_with_split():
     assert all(line.startswith("test.") for line in lines[1:])
     assert all(line.endswith(",10") for line in lines[1:])
     assert any(line.startswith("test.accuracy,") for line in lines[1:])
+
+
+def test_record_text_is_pinned_byte_for_byte():
+    assert sample_record().to_text() == (
+        "[config]\narchitecture=cardiocaps\nlr=0.001\n[seed]\nseed=10\n[epochs]\n"
+        "epoch,train_total,train_classification,train_regression,train_reconstruction,val_total\n"
+        "1,0.5,0.4,0.05,0.05,0.6\nbest_epoch=1\n[metrics test]\n"
+        "accuracy=0.5\nf1=0.5\nroc_auc=0.75\npr_auc=0.8333333333333333\n"
+        "tp=1\nfp=1\ntn=1\nfn=1\nn_samples=4\n[timings]\ntrain_seconds=12.500000\n"
+    )
+
+
+def test_metric_csv_is_pinned_byte_for_byte():
+    assert sample_record().metric_csv() == (
+        "metric,value,seed\ntest.accuracy,0.5,10\ntest.f1,0.5,10\ntest.roc_auc,0.75,10\n"
+        "test.pr_auc,0.8333333333333333,10\ntest.tp,1,10\ntest.fp,1,10\ntest.tn,1,10\n"
+        "test.fn,1,10\ntest.n_samples,4,10\n"
+    )
+
+
+def test_lambda_table_is_pinned_byte_for_byte():
+    one_class = sample_record()
+    one_class.metrics["test"] = MetricsReport.from_predictions(
+        np.array([0, 1, 0]), np.array([0.1, 0.7, 0.3]), np.array([0, 0, 0])
+    )
+    table = lambda_table([(0.01, sample_record()), (0.5, one_class)])
+    assert table == (
+        "lambda,accuracy,f1,roc_auc,pr_auc\n"
+        "0.01,0.5,0.5,0.75,0.8333333333333333\n"
+        "0.5,0.6666666666666666,0.0,undefined,undefined\n"
+    )
