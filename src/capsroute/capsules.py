@@ -28,6 +28,7 @@ from .tensor import (
 
 __all__ = [
     "squash",
+    "conv_params",
     "CapsuleBank",
     "PrimaryCapsules",
     "SharedAffine",
@@ -56,6 +57,16 @@ def squash(s: Tensor, eps: float = 1e-12) -> Tensor:
     n = vector_norm(s, eps)
     gain = n / (1.0 + square(n))
     return s * gain.reshape(gain.shape + (1,))
+
+
+def _normal(rng: np.random.Generator, shape: tuple[int, ...], fan: int) -> Tensor:
+    """Trainable N(0, 2 / fan) weights: He-normal for fan-in, Glorot for fan-in + fan-out."""
+    return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan), size=shape), requires_grad=True)
+
+
+def conv_params(c_out: int, c_in: int, k: int, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """He-normal kernels [c_out, c_in, k, k] and a zero bias, drawn from ``rng``."""
+    return _normal(rng, (c_out, c_in, k, k), c_in * k * k), Tensor(np.zeros(c_out), requires_grad=True)
 
 
 @dataclass
@@ -97,14 +108,8 @@ class PrimaryCapsules:
         rng = rng or np.random.default_rng(0)
         self.caps_per_cell = out_channels // d
         self.d = d
-        self.kernel = kernel
         self.stride = stride
-        std = np.sqrt(2.0 / (in_channels * kernel * kernel))
-        self.weight = Tensor(
-            rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel)),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.weight, self.bias = conv_params(out_channels, in_channels, kernel, rng)
 
     def __call__(self, features: Tensor) -> CapsuleBank:
         z = conv2d(features, self.weight, stride=self.stride)
@@ -171,17 +176,12 @@ class ConvAffine:
         padding: int = 1,
     ):
         rng = rng or np.random.default_rng(0)
-        self.caps_per_cell = caps_per_cell
         self.d_in = d_in
         self.n_out, self.d_out = n_out, d_out
         self.padding = padding
-        in_ch = caps_per_cell * d_in
-        out_ch = caps_per_cell * n_out * d_out
-        std = np.sqrt(2.0 / (in_ch * kernel * kernel))
-        self.weight = Tensor(
-            rng.normal(0.0, std, size=(out_ch, in_ch, kernel, kernel)), requires_grad=True
+        self.weight, self.bias = conv_params(
+            caps_per_cell * n_out * d_out, caps_per_cell * d_in, kernel, rng
         )
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
     def __call__(self, bank: CapsuleBank) -> Tensor:
         if bank.grid is None or bank.caps_per_cell is None:
@@ -365,8 +365,7 @@ make_routing = Routing
 # ------------------------------------------------------------------- read-outs
 class _Linear:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, gain: str = "relu"):
-        std = np.sqrt(2.0 / n_in) if gain == "relu" else np.sqrt(2.0 / (n_in + n_out))
-        self.weight = Tensor(rng.normal(0.0, std, size=(n_in, n_out)), requires_grad=True)
+        self.weight = _normal(rng, (n_in, n_out), n_in if gain == "relu" else n_in + n_out)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -423,7 +422,7 @@ class RegressionHead:
         return self.linear(digit_caps.reshape((bsz, -1))).reshape((bsz,))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self.linear.parameters()]
+        return self.linear.parameters()
 
 
 def classify(digit_caps: Tensor, positive_class: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -45,16 +45,9 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_splits(args, cfg):
-    if args.data:
-        dataset = data.load(args.data)
-        return data.split(dataset, tuple(cfg["split_fractions"]), cfg["split_seed"])
-    return experiment.prepare_splits(cfg)
-
-
 def _cmd_train(args) -> int:
     cfg = _resolved_config(args)
-    splits = _load_splits(args, cfg)
+    splits = experiment.prepare_splits(cfg, args.data)
     model, record = experiment.run_experiment(cfg, splits=splits)
     experiment.save_run(args.run_dir, model, record)
     print(f"run artifacts in {args.run_dir}")

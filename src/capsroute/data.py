@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError, StratificationError
 
-__all__ = ["SynthConfig", "EchoDataset", "generate", "save", "load", "split", "class_proportions"]
+__all__ = ["SynthConfig", "EchoDataset", "generate", "save", "load", "check_fractions", "split",
+           "class_proportions"]
 
 CHAMBER_ASPECT = 1.4  # major over minor axis of the chamber ellipse
 CONE_APEX_ROW = 1.0
@@ -284,6 +285,14 @@ def _largest_remainder(total: int, fractions: tuple[float, ...]) -> list[int]:
     return counts
 
 
+def check_fractions(fractions: tuple[float, ...]) -> None:
+    """Reject split fractions that are not three non-negative shares summing to 1."""
+    if len(fractions) != 3:
+        raise ConfigurationError(f"expected 3 fractions (train, val, test), got {len(fractions)}")
+    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigurationError(f"fractions must be non-negative and sum to 1, got {fractions}")
+
+
 def split(
     dataset: EchoDataset, fractions: tuple[float, float, float], seed: int
 ) -> tuple[EchoDataset, EchoDataset, EchoDataset]:
@@ -294,10 +303,7 @@ def split(
     of the exact proportional share. A non-empty subset that would receive no
     positives (while the dataset has them) raises ``StratificationError``.
     """
-    if len(fractions) != 3:
-        raise ConfigurationError(f"expected 3 fractions (train, val, test), got {len(fractions)}")
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigurationError(f"fractions must be non-negative and sum to 1, got {fractions}")
+    check_fractions(fractions)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     buckets: list[list[int]] = [[], [], []]
     for cls in (0, 1):

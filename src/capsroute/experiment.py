@@ -25,15 +25,34 @@ __all__ = ["prepare_splits", "build_configured_model", "run_experiment", "save_r
            "sweep_lambda", "lambda_table"]
 
 
-def prepare_splits(cfg: dict[str, Any]) -> tuple[EchoDataset, EchoDataset, EchoDataset]:
-    """Generate and split a dataset as the configuration describes.
+def _load_for(cfg: dict[str, Any], data_path) -> EchoDataset:
+    """Load an ECAP file whose images must have the configured ``image_size``."""
+    dataset = load(data_path)
+    found, wanted = dataset.images.shape[1:], tuple(cfg["image_size"])
+    if found != wanted:
+        raise ConfigurationError(
+            f"{data_path} holds {'x'.join(map(str, found))} images, "
+            f"but image_size is {'x'.join(map(str, wanted))}"
+        )
+    return dataset
+
+
+def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, EchoDataset, EchoDataset]:
+    """Split the ECAP file at ``data_path``, or else generate and split a
+    dataset as the configuration describes.
 
     With ``rotation_shift_test`` enabled, the test split is rendered
     separately from ``rotation_range_test`` using sample indices disjoint from
-    the pool, so train/val geometry statistics stay untouched.
+    the pool, so train/val geometry statistics stay untouched. A data file has
+    no such split, so that setting is rejected with one.
     """
-    synth = cfg_mod.synth_config_from(cfg)
     fractions = tuple(cfg["split_fractions"])
+    if data_path is not None:
+        if cfg["rotation_shift_test"]:
+            raise ConfigurationError("rotation_shift_test=true renders its own test split; "
+                                     "it cannot be used with a data file")
+        return split(_load_for(cfg, data_path), fractions, cfg["split_seed"])
+    synth = cfg_mod.synth_config_from(cfg)
     if not cfg["rotation_shift_test"]:
         pool = generate(synth)
         return split(pool, fractions, cfg["split_seed"])
@@ -104,13 +123,13 @@ def load_run(run_dir, data_path) -> tuple[Any, EchoDataset]:
 
     Returns the model and the ECAP dataset at ``data_path``, whose class mix
     weights the model's loss. The run directory is checked before the data is
-    read.
+    read, and the data's image shape before the model is built.
     """
     run_dir = Path(run_dir)
     if not (run_dir / "config.txt").is_file():
         raise ConfigurationError(f"{run_dir} is not a run directory (no config.txt)")
     cfg = cfg_mod.resolve(cfg_mod.parse_config_file(run_dir / "config.txt"))
-    dataset = load(data_path)
+    dataset = _load_for(cfg, data_path)
     model = build_configured_model(cfg, dataset.labels)
     load_params(model, run_dir / "model.npz")
     return model, dataset

@@ -21,7 +21,9 @@ from .capsules import (
     PrimaryCapsules,
     RegressionHead,
     RoutingSpec,
+    _Linear,
     classify,
+    conv_params,
     make_affine,
     make_routing,
 )
@@ -33,10 +35,10 @@ from .losses import (
     weighted_capsule_loss,
     weighted_cross_entropy,
 )
-from .tensor import Tensor, conv2d, matmul, maxpool2d, relu, softmax, vector_norm
+from .tensor import Tensor, conv2d, maxpool2d, relu, softmax, vector_norm
 
 __all__ = ["ModelConfig", "CapsuleClassifier", "CnnClassifier", "build_model",
-           "parameter_count", "save_params", "load_params", "CapsuleOutputs"]
+           "parameter_count", "save_params", "load_params"]
 
 ARCHITECTURES = ("cardiocaps", "cnn1", "cnn2")
 
@@ -76,20 +78,13 @@ class ModelConfig:
         return replace(base, **overrides) if overrides else base
 
 
-@dataclass
-class CapsuleOutputs:
-    digit_caps: Tensor  # [B, C, d_digit]
-    norms: Tensor  # [B, C]
-    reg_pred: Tensor  # [B]
-    recon: Tensor  # [B, C_img*H*W]
-
-
 class CapsuleClassifier:
     """Conv stem, primary capsules, vote transform, routing, and three read-outs.
 
     Class presence is the digit-capsule length; a linear head regresses the
     chamber width and a decoder reconstructs the image, both read from the
-    full digit-capsule block.
+    full digit-capsule block. The two heads only shape training, so ``predict``
+    reads the capsule lengths alone.
     """
 
     def __init__(
@@ -101,7 +96,6 @@ class CapsuleClassifier:
         rng: np.random.Generator,
     ):
         self.cfg = cfg
-        self.image_size = image_size
         self.margin = margin
         self.weighted = weighted
         c_img, h, w = image_size
@@ -114,11 +108,7 @@ class CapsuleClassifier:
                 f"image {h}x{w} with kernel {k} leaves no primary grid: "
                 f"conv stem {h1}x{w1} -> capsule grid {hg}x{wg}"
             )
-        std = np.sqrt(2.0 / (c_img * k * k))
-        self.conv_weight = Tensor(
-            rng.normal(0.0, std, size=(cfg.hidden_dim, c_img, k, k)), requires_grad=True
-        )
-        self.conv_bias = Tensor(np.zeros(cfg.hidden_dim), requires_grad=True)
+        self.conv_weight, self.conv_bias = conv_params(cfg.hidden_dim, c_img, k, rng)
         self.primary = PrimaryCapsules(
             cfg.hidden_dim, cfg.hidden_dim, d=cfg.d_primary, kernel=k, stride=2, rng=rng
         )
@@ -137,30 +127,22 @@ class CapsuleClassifier:
         self.decoder = Decoder(cfg.n_classes * cfg.d_digit, c_img * h * w, cfg.decoder_hidden, rng)
         self.reg_head = RegressionHead(cfg.n_classes * cfg.d_digit, rng)
 
-    def forward(self, images: Tensor) -> CapsuleOutputs:
+    def digit_caps(self, images: Tensor) -> Tensor:
+        """Digit capsules [B, n_classes, d_digit]: stem, primary capsules, votes, routing."""
         x = relu(conv2d(images, self.conv_weight) + self.conv_bias.reshape((1, -1, 1, 1)))
-        bank = self.primary(x)
-        votes = self.affine(bank)
-        v = self.routing(votes)[0].activations
-        return CapsuleOutputs(
-            digit_caps=v,
-            norms=vector_norm(v),
-            reg_pred=self.reg_head(v),
-            recon=self.decoder(v),
-        )
+        return self.routing(self.affine(self.primary(x)))[0].activations
 
     def training_loss(self, images: Tensor, labels: np.ndarray, reg_targets: np.ndarray):
-        out = self.forward(images)
+        v = self.digit_caps(images)
         targets = one_hot(labels, self.cfg.n_classes)
         flat = images.data.reshape(images.shape[0], -1)
         return weighted_capsule_loss(
-            out.norms, targets, out.reg_pred, reg_targets, out.recon, flat,
+            vector_norm(v), targets, self.reg_head(v), reg_targets, self.decoder(v), flat,
             self.margin, self.weighted,
         )
 
     def predict(self, images: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        out = self.forward(images)
-        return classify(out.digit_caps, self.cfg.positive_class)
+        return classify(self.digit_caps(images), self.cfg.positive_class)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         params = [("conv.weight", self.conv_weight), ("conv.bias", self.conv_bias)]
@@ -189,11 +171,6 @@ class CnnClassifier:
         k1, k2 = cfg.conv_kernel, 5
         hd = cfg.hidden_dim
 
-        def conv_params(c_out, c_in, k):
-            std = np.sqrt(2.0 / (c_in * k * k))
-            weight = Tensor(rng.normal(0.0, std, size=(c_out, c_in, k, k)), requires_grad=True)
-            return weight, Tensor(np.zeros(c_out), requires_grad=True)
-
         trace = [f"input {h}x{w}"]
         h1, w1 = h - k1 + 1, w - k1 + 1
         trace.append(f"conv{k1} -> {h1}x{w1}")
@@ -209,12 +186,9 @@ class CnnClassifier:
         h2, w2 = h2 // 2, w2 // 2
         trace.append(f"pool2 -> {h2}x{w2}")
 
-        self.w1, self.b1 = conv_params(hd, c_img, k1)
-        self.w2, self.b2 = conv_params(hd, hd, k2)
-        flat = hd * h2 * w2
-        std = np.sqrt(2.0 / (flat + cfg.n_classes))
-        self.fc_w = Tensor(rng.normal(0.0, std, size=(flat, cfg.n_classes)), requires_grad=True)
-        self.fc_b = Tensor(np.zeros(cfg.n_classes), requires_grad=True)
+        self.w1, self.b1 = conv_params(hd, c_img, k1, rng)
+        self.w2, self.b2 = conv_params(hd, hd, k2, rng)
+        self.fc = _Linear(hd * h2 * w2, cfg.n_classes, rng, gain="linear")
 
     def forward(self, images: Tensor) -> Tensor:
         x = relu(conv2d(images, self.w1) + self.b1.reshape((1, -1, 1, 1)))
@@ -223,7 +197,7 @@ class CnnClassifier:
         x = relu(conv2d(x, self.w2) + self.b2.reshape((1, -1, 1, 1)))
         x = maxpool2d(x, 2)
         x = x.reshape((x.shape[0], -1))
-        return matmul(x, self.fc_w) + self.fc_b
+        return self.fc(x)
 
     def training_loss(self, images: Tensor, labels: np.ndarray, reg_targets: np.ndarray):
         logits = self.forward(images)
@@ -244,9 +218,7 @@ class CnnClassifier:
             ("conv1.bias", self.b1),
             ("conv2.weight", self.w2),
             ("conv2.bias", self.b2),
-            ("fc.weight", self.fc_w),
-            ("fc.bias", self.fc_b),
-        ]
+        ] + [(f"fc.{n}", t) for n, t in self.fc.parameters()]
 
 
 def build_model(

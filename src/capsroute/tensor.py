@@ -3,10 +3,11 @@
 The graph is built eagerly: each operation stores its parent tensors and a
 backward closure on its output. ``Tensor.backward`` walks the recorded
 operations once in reverse topological order and *assigns* ``.grad`` on every
-reachable tensor that requires gradients, so repeated calls are idempotent
-(bit-identical results) rather than accumulating. Leaf tensors created with
-``requires_grad=True`` start with zero gradients, which means parameters that
-never participate in a loss read back as zero.
+reachable leaf (a tensor created with ``requires_grad=True``), so repeated
+calls are idempotent (bit-identical results) rather than accumulating.
+Intermediate gradients are dropped as soon as they have been passed on, and op
+outputs keep ``.grad`` at None. Leaves start with zero gradients, which means
+parameters that never participate in a loss read back as zero.
 
 All arithmetic is performed in float64. Nothing in this module owns global
 random state; callers pass ``numpy.random.Generator`` objects where needed.
@@ -44,7 +45,6 @@ __all__ = [
     "tensor_mean",
     "reshape",
     "transpose",
-    "pad2d",
     "conv2d",
     "maxpool2d",
 ]
@@ -146,11 +146,11 @@ class Tensor:
 
     # -------------------------------------------------------------- backward
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into ``grad`` for all ancestors.
+        """Set ``grad`` to d(self)/d(leaf) on every leaf ancestor that requires it.
 
         ``self`` must hold a single element. Gradients are assigned, not
         accumulated across calls, so running backward twice on the same graph
-        yields bit-identical results.
+        yields bit-identical results. Op outputs get no ``grad``.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -168,7 +168,7 @@ class Tensor:
                         continue
                     held = grads.get(id(parent))
                     grads[id(parent)] = pg if held is None else held + pg
-            if node.requires_grad:
+            elif node.requires_grad:
                 # Densify broadcast/transpose views; np.array keeps 0-d shapes
                 # where ascontiguousarray would promote them to (1,).
                 if g.flags.c_contiguous and g.flags.writeable:
@@ -479,25 +479,6 @@ def transpose(a, axes) -> Tensor:
         return (g.transpose(inverse),)
 
     return _from_op(a.data.transpose(axes), (a,), rule)
-
-
-def pad2d(a, padding: int) -> Tensor:
-    """Zero-pad the two trailing axes of a rank-4 tensor by ``padding`` on each side."""
-    a = _as_tensor(a)
-    if a.ndim != 4:
-        raise DimensionError(f"pad2d: expected rank-4 input, got {a.shape}")
-    p = int(padding)
-    if p < 0:
-        raise ContractError(f"pad2d: padding must be >= 0, got {padding}")
-    if p == 0:
-        return a
-    out = np.pad(a.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    h, w = a.shape[2], a.shape[3]
-
-    def rule(g):
-        return (g[:, :, p : p + h, p : p + w],)
-
-    return _from_op(out, (a,), rule)
 
 
 # ------------------------------------------------------------------- convolution

@@ -96,24 +96,23 @@ class ExperimentRecord:
         return "\n".join(rows) + "\n"
 
 
-def _batch_indices(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield np.arange(start, min(start + batch_size, n))
-
-
-def _loss_over(model, dataset: EchoDataset, batch_size: int) -> float:
-    total = 0.0
-    for idx in _batch_indices(len(dataset), batch_size):
+def _batches(dataset: EchoDataset, batch_size: int, order: np.ndarray | None = None):
+    """Yield (float64 images, labels, regression targets) per batch, in ``order``
+    or else in dataset order."""
+    for start in range(0, len(dataset), batch_size):
+        idx = slice(start, start + batch_size) if order is None else order[start : start + batch_size]
         images = Tensor(dataset.images[idx].astype(np.float64))
-        loss, _ = model.training_loss(images, dataset.labels[idx], dataset.reg_targets[idx])
-        total += loss.item() * idx.size
-    return total / len(dataset)
+        yield images, dataset.labels[idx], dataset.reg_targets[idx]
 
 
 def validation_loss(model, dataset: EchoDataset, batch_size: int = 64) -> float:
     """Sample-weighted mean training objective over a dataset, without gradients."""
+    total = 0.0
     with no_grad():
-        return _loss_over(model, dataset, batch_size)
+        for images, labels, targets in _batches(dataset, batch_size):
+            loss, _ = model.training_loss(images, labels, targets)
+            total += loss.item() * len(labels)
+    return total / len(dataset)
 
 
 def train(
@@ -147,17 +146,13 @@ def train(
     for epoch in range(1, tc.max_epochs + 1):
         sums: dict[str, float] = {}
         perm = shuffle_rng.permutation(len(train_set))
-        for idx in _batch_indices(len(train_set), tc.batch_size):
-            chosen = perm[idx]
-            images = Tensor(train_set.images[chosen].astype(np.float64))
-            loss, parts = model.training_loss(
-                images, train_set.labels[chosen], train_set.reg_targets[chosen]
-            )
+        for images, labels, targets in _batches(train_set, tc.batch_size, perm):
+            loss, parts = model.training_loss(images, labels, targets)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             for key, value in parts.items():
-                sums[key] = sums.get(key, 0.0) + value * chosen.size
+                sums[key] = sums.get(key, 0.0) + value * len(labels)
 
         n = len(train_set)
         val_total = validation_loss(model, val_set, tc.batch_size)
@@ -186,8 +181,7 @@ def evaluate(model, dataset: EchoDataset, batch_size: int = 64) -> MetricsReport
         raise ConfigurationError("evaluate() needs a non-empty dataset")
     preds, scores = [], []
     with no_grad():
-        for idx in _batch_indices(len(dataset), batch_size):
-            images = Tensor(dataset.images[idx].astype(np.float64))
+        for images, _, _ in _batches(dataset, batch_size):
             p, s = model.predict(images)
             preds.append(p)
             scores.append(s)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capsroute import ConfigurationError, data
+from capsroute import ConfigurationError, data, experiment
 from capsroute.cli import main
 from capsroute.config import (
     SCHEMA,
@@ -315,6 +315,75 @@ def test_cli_bench_routing_rejects_bad_values(capsys, flag, value):
     assert main(["bench-routing", "--repeats", "1", flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and (flag in err or "votes" in err)
+
+
+def _forbid(monkeypatch, owner, *names):
+    for name in names:
+        def reached(*args, _name=f"{owner.__name__}.{name}", **kwargs):
+            raise AssertionError(f"reached {_name}")
+
+        monkeypatch.setattr(owner, name, reached)
+
+
+@pytest.mark.parametrize("with_data", [False, True], ids=["generated", "data-file"])
+@pytest.mark.parametrize(
+    "bad",
+    ["lr=-0.01", "routing_iterations=0", "max_epochs=0", "split_fractions=0.5,0.5,0.5",
+     "m_minus=0.95", "lambda_reg=-1", "positive_class=2", "positive_ratio=1.5"],
+)
+def test_cli_train_rejects_out_of_range_values_before_any_data_work(
+    tmp_path, capsys, monkeypatch, bad, with_data
+):
+    for owner in (data, experiment):
+        _forbid(monkeypatch, owner, "generate", "load")
+    data_args = ["--data", str(tmp_path / "never-read.ecap")] if with_data else []
+    argv = ["train", *tiny_args(bad), *data_args, "--run-dir", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert not (tmp_path / "run").exists()
+
+
+def _tiny_ecap(tmp_path, image_size):
+    path = tmp_path / f"tiny-{image_size.replace(',', 'x')}.ecap"
+    assert main(["gen-data", *tiny_args(f"image_size={image_size}"), "--out", str(path)]) == 0
+    return path
+
+
+def test_cli_train_rejects_a_data_file_of_another_image_shape(tmp_path, capsys, monkeypatch):
+    ecap = _tiny_ecap(tmp_path, "1,24,24")
+    _forbid(monkeypatch, experiment, "build_model", "train")
+    capsys.readouterr()
+    argv = ["train", *tiny_args(), "--data", str(ecap), "--run-dir", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1x24x24" in err and "1x20x20" in err
+
+
+def test_cli_eval_rejects_a_data_file_of_another_image_shape(tmp_path, capsys, monkeypatch):
+    # Convolutional votes and routing run at any image size, so without the
+    # check this run scores 24x24 images with its 20x20 weights and exits 0.
+    run_dir = tmp_path / "run"
+    conv_run = tiny_args("affine_kind=conv", "routing_method=dynamic", "max_epochs=1")
+    assert main(["train", *conv_run, "--run-dir", str(run_dir)]) == 0
+    ecap = _tiny_ecap(tmp_path, "1,24,24")
+    _forbid(monkeypatch, experiment, "build_model")
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(run_dir), "--data", str(ecap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "1x24x24" in captured.err and "1x20x20" in captured.err
+
+
+def test_cli_train_rejects_rotation_shift_test_with_a_data_file(tmp_path, capsys, monkeypatch):
+    ecap = _tiny_ecap(tmp_path, "1,20,20")
+    _forbid(monkeypatch, experiment, "build_model", "train")
+    capsys.readouterr()
+    argv = ["train", *tiny_args("rotation_shift_test=true"), "--data", str(ecap),
+            "--run-dir", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rotation_shift_test" in err
 
 
 def test_cli_module_entry_point():

@@ -177,16 +177,6 @@ def test_conv_with_one_output_position_is_bit_identical(bsz, size, k, stride):
     assert_conv_matches_composed_oracle(x, w, stride, 0, rng)
 
 
-def test_pad2d_values_and_gradient():
-    x = leaf([[1.0, 2.0], [3.0, 4.0]])
-    out = T.pad2d(x.reshape((1, 1, 2, 2)), 1)
-    assert out.shape == (1, 1, 4, 4)
-    assert out.data.sum() == 10.0
-    assert_array_equal(out.data[0, 0, 1:3, 1:3], [[1.0, 2.0], [3.0, 4.0]])
-    out.sum().backward()
-    assert_array_equal(x.grad, np.ones((2, 2)))
-
-
 def test_maxpool_matches_loop_oracle():
     rng = np.random.default_rng(4)
     for k in (2, 3):

@@ -161,6 +161,21 @@ def test_unused_leaf_reads_zero_gradient():
     assert_array_equal(unused.grad, np.zeros(3))
 
 
+def test_backward_sets_gradients_on_leaves_only():
+    rng = np.random.default_rng(8)
+    x, w = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 2)))
+    const = Tensor(rng.normal(size=(3, 2)))
+    h = T.matmul(x, w)
+    y = T.relu(h) * const
+    loss = y.sum()
+    loss.backward()
+    assert h.grad is None and y.grad is None and loss.grad is None
+    assert const.grad is None
+    dy = (h.data > 0) * const.data
+    assert_allclose(x.grad, dy @ w.data.T, rtol=1e-12)
+    assert_allclose(w.grad, x.data.T @ dy, rtol=1e-12)
+
+
 def test_no_grad_blocks_recording():
     with no_grad():
         x = Tensor(np.ones(3), requires_grad=True)

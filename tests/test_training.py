@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import capsroute
 from capsroute import (
@@ -21,6 +22,7 @@ from capsroute import (
     TrainConfig,
     WeightedLossParams,
     build_model,
+    classify,
     evaluate,
     generate,
     load_params,
@@ -31,6 +33,7 @@ from capsroute import (
     validation_loss,
 )
 from capsroute.experiment import lambda_table
+from capsroute.tensor import vector_norm
 from capsroute.training import EpochStats, ExperimentRecord
 
 TINY_SYNTH = SynthConfig(
@@ -67,14 +70,53 @@ def tiny_splits():
 def test_capsule_model_output_shapes():
     model = tiny_model()
     images = Tensor(np.zeros((3, 1, 20, 20)))
-    out = model.forward(images)
-    assert out.digit_caps.shape == (3, 2, 16)
-    assert out.norms.shape == (3, 2)
-    assert out.reg_pred.shape == (3,)
-    assert out.recon.shape == (3, 400)
+    v = model.digit_caps(images)
+    assert v.shape == (3, 2, 16)
+    assert vector_norm(v).shape == (3, 2)
+    assert model.reg_head(v).shape == (3,)
+    assert model.decoder(v).shape == (3, 400)
     preds, scores = model.predict(images)
     assert preds.shape == (3,) and scores.shape == (3,)
     assert np.all((preds == 0) | (preds == 1))
+
+
+CAPSULE_VARIANTS = pytest.mark.parametrize(
+    "overrides",
+    [{}, {"affine_kind": "conv", "routing": RoutingSpec(method="dynamic")}],
+    ids=["attention-shared", "dynamic-conv"],
+)
+
+
+@CAPSULE_VARIANTS
+def test_capsule_predict_reads_only_the_digit_capsules(overrides):
+    model = tiny_model(**overrides)
+    images = Tensor(np.random.default_rng(4).uniform(size=(5, 1, 20, 20)))
+    want_preds, want_scores = classify(model.digit_caps(images), model.cfg.positive_class)
+
+    def training_only_head(_):
+        raise AssertionError("predict ran a head that only shapes training")
+
+    model.decoder = model.reg_head = training_only_head
+    preds, scores = model.predict(images)
+    assert_array_equal(preds, want_preds)
+    assert_array_equal(scores, want_scores)
+
+
+@CAPSULE_VARIANTS
+def test_training_step_leaves_gradients_on_parameters_only(overrides):
+    model = tiny_model(**overrides)
+    images = Tensor(np.random.default_rng(5).uniform(size=(4, 1, 20, 20)))
+    loss, _ = model.training_loss(images, np.array([0, 1, 0, 1]), np.full(4, 0.5))
+    loss.backward()
+    graph = loss._topological_order()
+    ops = [node for node in graph if node._backward_rule is not None]
+    assert ops and all(node.grad is None for node in ops)
+    params = dict(model.parameters())
+    leaves = {id(node) for node in graph if node.requires_grad and node._backward_rule is None}
+    assert leaves == {id(p) for p in params.values()}
+    for name, p in params.items():
+        assert p.grad.shape == p.data.shape and np.all(np.isfinite(p.grad)), name
+        assert np.any(p.grad != 0.0), name
 
 
 def test_capsule_grid_matches_conv_arithmetic():
