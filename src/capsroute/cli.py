@@ -47,8 +47,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _resolved_config(args)
-    splits = experiment.prepare_splits(cfg, args.data)
-    model, record = experiment.run_experiment(cfg, splits=splits)
+    model, record = experiment.run_experiment(cfg, data_path=args.data)
     experiment.save_run(args.run_dir, model, record)
     print(f"run artifacts in {args.run_dir}")
     for name in sorted(record.metrics):

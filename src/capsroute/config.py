@@ -6,8 +6,7 @@ feeds, whose default and type give the key's default and parser (a tuple
 value must keep the default's length); only the three split keys, which no
 dataclass owns, state their defaults here. The generator seed is exposed as
 ``data_seed`` so it cannot collide with the training seed. Unknown keys and
-malformed or non-finite values raise ``ConfigurationError``, and so does a value
-its dataclass or the split check rejects. Command-line
+malformed or non-finite values raise ``ConfigurationError``. Command-line
 ``--set key=value`` pairs override file values, which override the defaults.
 """
 
@@ -18,7 +17,7 @@ from dataclasses import fields
 from typing import Any, Callable
 
 from .capsules import RoutingSpec
-from .data import SynthConfig, check_fractions
+from .data import SynthConfig
 from .errors import ConfigurationError
 from .losses import MarginLossParams, WeightedLossParams
 from .metrics import format_value
@@ -139,12 +138,7 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve(file_values: dict[str, str] | None = None, overrides: dict[str, str] | None = None) -> dict[str, Any]:
-    """Merge defaults, file values, and overrides into a fully typed config.
-
-    Every owning dataclass is built once from the result, and the split
-    fractions are checked, so a value out of range fails here, before any
-    data work.
-    """
+    """Merge defaults, file values, and overrides into a fully typed config."""
     merged: dict[str, Any] = {k: default for k, (default, _, _) in SCHEMA.items()}
     for source in (file_values or {}, overrides or {}):
         for key, raw in source.items():
@@ -152,9 +146,6 @@ def resolve(file_values: dict[str, str] | None = None, overrides: dict[str, str]
                 raise ConfigurationError(f"unknown configuration key: {key!r}")
             _, parser, _ = SCHEMA[key]
             merged[key] = parser(raw) if isinstance(raw, str) else raw
-    for owner in dict.fromkeys(owner for owner, _, _ in _KEYS.values() if owner is not None):
-        _build(owner, merged)
-    check_fractions(merged["split_fractions"])
     return merged
 
 
@@ -185,8 +176,11 @@ def margin_params_from(cfg: dict[str, Any]) -> MarginLossParams:
     return _build(MarginLossParams, cfg)
 
 
-def weighted_params_from(cfg: dict[str, Any], proportions: tuple[float, ...]) -> WeightedLossParams:
-    return _build(WeightedLossParams, cfg, class_proportions=proportions)
+def weighted_params_from(cfg: dict[str, Any], proportions: tuple[float, ...] | None = None) -> WeightedLossParams:
+    """The loss weighting of ``cfg``; the class proportions keep their default
+    unless ``proportions`` is given."""
+    fixed = {} if proportions is None else {"class_proportions": proportions}
+    return _build(WeightedLossParams, cfg, **fixed)
 
 
 def default_config_text() -> str:

@@ -8,17 +8,18 @@ repeats a run across a grid of auxiliary-loss multipliers on fixed data.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import config as cfg_mod
-from .data import EchoDataset, class_proportions, generate, load, split
+from .data import EchoDataset, check_fractions, class_proportions, generate, load, split
 from .errors import ConfigurationError
+from .losses import MarginLossParams, WeightedLossParams
 from .metrics import format_value
-from .models import build_model, load_params, save_params
+from .models import ModelConfig, build_model, load_params, save_params
 from .training import ExperimentRecord, evaluate, train
 
 __all__ = ["prepare_splits", "build_configured_model", "run_experiment", "save_run", "load_run",
@@ -47,6 +48,7 @@ def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, Ec
     no such split, so that setting is rejected with one.
     """
     fractions = tuple(cfg["split_fractions"])
+    check_fractions(fractions)
     if data_path is not None:
         if cfg["rotation_shift_test"]:
             raise ConfigurationError("rotation_shift_test=true renders its own test split; "
@@ -73,31 +75,49 @@ def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, Ec
     return train_set, val_set, test_set
 
 
+@dataclass(frozen=True)
+class _ModelSpec:
+    """The dataclasses a configured model is built from, each built once."""
+
+    config: ModelConfig
+    margin: MarginLossParams
+    weighted: WeightedLossParams  # default class proportions until build() sees the labels
+    image_size: tuple[int, int, int]
+    seed: int
+
+    @classmethod
+    def of(cls, cfg: dict[str, Any]) -> "_ModelSpec":
+        return cls(cfg_mod.model_config_from(cfg), cfg_mod.margin_params_from(cfg),
+                   cfg_mod.weighted_params_from(cfg), cfg["image_size"], cfg["seed"])
+
+    def build(self, labels: np.ndarray):
+        proportions = class_proportions(labels, self.config.n_classes)
+        return build_model(self.config, self.image_size, self.margin,
+                           replace(self.weighted, class_proportions=proportions), seed=self.seed)
+
+
 def build_configured_model(cfg: dict[str, Any], labels: np.ndarray):
     """Build the configured model, weighting its loss by the class mix of ``labels``."""
-    return build_model(
-        cfg_mod.model_config_from(cfg),
-        cfg["image_size"],
-        cfg_mod.margin_params_from(cfg),
-        cfg_mod.weighted_params_from(cfg, class_proportions(labels, cfg["n_classes"])),
-        seed=cfg["seed"],
-    )
+    return _ModelSpec.of(cfg).build(labels)
 
 
 def run_experiment(
     cfg: dict[str, Any],
     splits: tuple[EchoDataset, EchoDataset, EchoDataset] | None = None,
+    data_path=None,
 ):
     """Train one model per the config and evaluate it on every split.
 
-    Returns (model, record); the record embeds the full config snapshot, so a
-    rerun from that snapshot reproduces it bit for bit (timings aside).
+    The splits are ``splits`` if given, else ``prepare_splits(cfg, data_path)``.
+    The model and training dataclasses are built before them, so a value out
+    of range fails before any data work. Returns (model, record); the record
+    embeds the full config snapshot, so a rerun from that snapshot reproduces
+    it bit for bit (timings aside).
     """
-    train_set, val_set, test_set = splits if splits is not None else prepare_splits(cfg)
-    model = build_configured_model(cfg, train_set.labels)
-    record = train(
-        model, train_set, val_set, cfg_mod.train_config_from(cfg), cfg_mod.config_snapshot(cfg)
-    )
+    spec, train_config = _ModelSpec.of(cfg), cfg_mod.train_config_from(cfg)
+    train_set, val_set, test_set = splits if splits is not None else prepare_splits(cfg, data_path)
+    model = spec.build(train_set.labels)
+    record = train(model, train_set, val_set, train_config, cfg_mod.config_snapshot(cfg))
     record.metrics["train"] = evaluate(model, train_set)
     record.metrics["val"] = evaluate(model, val_set)
     if len(test_set):

@@ -329,7 +329,7 @@ def _forbid(monkeypatch, owner, *names):
 @pytest.mark.parametrize(
     "bad",
     ["lr=-0.01", "routing_iterations=0", "max_epochs=0", "split_fractions=0.5,0.5,0.5",
-     "m_minus=0.95", "lambda_reg=-1", "positive_class=2", "positive_ratio=1.5"],
+     "m_minus=0.95", "lambda_reg=-1", "positive_class=2"],
 )
 def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     tmp_path, capsys, monkeypatch, bad, with_data
@@ -342,6 +342,29 @@ def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_rejects_a_bad_generator_value_before_generating(tmp_path, capsys, monkeypatch):
+    _forbid(monkeypatch, data, "generate")
+    _forbid(monkeypatch, experiment, "generate")
+    argv = ["train", *tiny_args("positive_ratio=1.5"), "--run-dir", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "positive_ratio" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_train_and_eval_on_a_data_file_ignore_the_generator_settings(tmp_path, capsys):
+    # At 20x20 the default chamber widths cannot be rendered, so only the
+    # narrow tiny widths make this file; a run on it never renders anything.
+    ecap = _tiny_ecap(tmp_path, "1,20,20")
+    default_widths = [s for s in TINY_SETTINGS if not s.startswith(("width_", "translation_range"))]
+    run_args = [item for s in default_widths for item in ("--set", s)]
+    with pytest.raises(ConfigurationError, match="cannot fit"):
+        synth_config_from(resolve(overrides=dict(s.split("=", 1) for s in default_widths)))
+    run_dir = tmp_path / "run"
+    assert main(["train", *run_args, "--data", str(ecap), "--run-dir", str(run_dir)]) == 0
+    assert main(["eval", "--run-dir", str(run_dir), "--data", str(ecap)]) == 0
+    assert "accuracy=" in capsys.readouterr().out
 
 
 def _tiny_ecap(tmp_path, image_size):
