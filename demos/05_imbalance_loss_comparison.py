@@ -36,9 +36,9 @@ print()
 
 plain_cfg = dict(cfg, weight_mode="uniform", lambda_reg=0.0, lambda_recon=0.0)
 print("training with plain margin loss (uniform weights, no auxiliary terms)...")
-_, plain = run_experiment(plain_cfg)
+_, plain = run_experiment(plain_cfg, splits=splits)
 print("training with inverse-frequency weights + regression + reconstruction...")
-_, weighted = run_experiment(cfg)
+_, weighted = run_experiment(cfg, splits=splits)
 
 print()
 print(f"{'':>10s}  {'accuracy':>8s}  {'f1':>6s}  {'roc_auc':>7s}  {'pr_auc':>6s}")

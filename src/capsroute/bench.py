@@ -51,22 +51,17 @@ def _time_call(fn, repeats: int, warmup: int = 3) -> float:
     return statistics.median(samples)
 
 
-def bench_routing(
-    shapes=DEFAULT_SHAPES,
-    r_values=(1, 2, 3),
-    repeats: int = 20,
-    batch: int = 8,
-    seed: int = 0,
-) -> list[BenchRow]:
-    """Median per-call seconds of dynamic(r) and attention routing per vote shape."""
+def bench_routing(shapes=DEFAULT_SHAPES, r_values=(1, 2, 3), repeats: int = 20) -> list[BenchRow]:
+    """Median per-call seconds of dynamic(r) and attention routing per vote shape,
+    on votes for a batch of 8."""
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     specs = [RoutingSpec("dynamic", r) for r in r_values] + [RoutingSpec("attention", 1)]
     rows: list[BenchRow] = []
     with no_grad():
         for n_in, n_out, d_out in shapes:
-            votes = Tensor(rng.normal(0.0, 0.5, size=(batch, n_in, n_out, d_out)))
+            votes = Tensor(rng.normal(0.0, 0.5, size=(8, n_in, n_out, d_out)))
             for spec in specs:
                 router = make_routing(spec, d_out)
                 med = _time_call(lambda: router(votes), repeats)

@@ -161,8 +161,8 @@ class ConvAffine:
     """Votes from a small convolution over the primary-capsule grid.
 
     The capsule bank is laid back out as a feature map and convolved with a
-    kernel emitting caps_per_cell * N_out * D_out channels, so every input
-    capsule still produces one vote per output capsule.
+    3x3 kernel at padding 1 emitting caps_per_cell * N_out * D_out channels, so
+    every input capsule still produces one vote per output capsule.
     """
 
     def __init__(
@@ -172,15 +172,12 @@ class ConvAffine:
         n_out: int,
         d_out: int,
         rng: np.random.Generator | None = None,
-        kernel: int = 3,
-        padding: int = 1,
     ):
         rng = rng or np.random.default_rng(0)
         self.d_in = d_in
         self.n_out, self.d_out = n_out, d_out
-        self.padding = padding
         self.weight, self.bias = conv_params(
-            caps_per_cell * n_out * d_out, caps_per_cell * d_in, kernel, rng
+            caps_per_cell * n_out * d_out, caps_per_cell * d_in, 3, rng
         )
 
     def __call__(self, bank: CapsuleBank) -> Tensor:
@@ -192,7 +189,7 @@ class ConvAffine:
         bsz = u.shape[0]
         fmap = u.reshape((bsz, hg, wg, cpl, self.d_in))
         fmap = fmap.transpose((0, 3, 4, 1, 2)).reshape((bsz, cpl * self.d_in, hg, wg))
-        z = conv2d(fmap, self.weight, stride=1, padding=self.padding)
+        z = conv2d(fmap, self.weight, stride=1, padding=1)
         z = z + self.bias.reshape((1, self.bias.size, 1, 1))
         votes = z.reshape((bsz, cpl, self.n_out, self.d_out, hg, wg))
         votes = votes.transpose((0, 4, 5, 1, 2, 3))
@@ -425,13 +422,13 @@ class RegressionHead:
         return self.linear.parameters()
 
 
-def classify(digit_caps: Tensor, positive_class: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def classify(digit_caps: Tensor) -> tuple[np.ndarray, np.ndarray]:
     """Predicted class indices and positive-class scores from capsule norms.
 
     The prediction is the argmax of the capsule lengths; exact ties resolve to
-    the lower index. Scores are the raw length of the ``positive_class``
+    the lower index. Scores are the raw length of the class-1 (positive)
     capsule, suitable for ranking metrics.
     """
     norms = vector_norm(digit_caps).data
     preds = norms.argmax(axis=1).astype(np.int64)
-    return preds, norms[:, positive_class].copy()
+    return preds, norms[:, 1].copy()

@@ -8,6 +8,7 @@ Every command accepts ``--config FILE`` (key=value lines) and repeated
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -132,6 +133,15 @@ def _cmd_sweep_lambda(args) -> int:
     return 0
 
 
+def _default(fn, name: str):
+    """The default of ``fn``'s argument ``name``, so each CLI default lives in the library."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
+
+
 def _add_config_args(parser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument(
@@ -160,20 +170,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference verification battery")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=_default(gradcheck.standard_suite, "seed"))
     p.set_defaults(fn=_cmd_gradcheck)
 
     p = sub.add_parser("bench-routing", help="time dynamic vs attention routing")
-    p.add_argument("--shapes", default="128,2,16;512,2,16;1152,2,16",
+    p.add_argument("--shapes", default=";".join(map(_joined, bench.DEFAULT_SHAPES)),
                    help="semicolon-separated n_in,n_out,d_out triples")
-    p.add_argument("--iterations", default="1,2,3", help="comma-separated dynamic r values")
-    p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--iterations", default=_joined(_default(bench.bench_routing, "r_values")),
+                   help="comma-separated dynamic r values")
+    p.add_argument("--repeats", type=int, default=_default(bench.bench_routing, "repeats"))
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(fn=_cmd_bench_routing)
 
     p = sub.add_parser("sweep-lambda", help="train across auxiliary-loss multipliers")
     _add_config_args(p)
-    p.add_argument("--grid", default="0.0001,0.001,0.01,0.05,0.1,0.5")
+    p.add_argument("--grid", default=_joined(experiment.DEFAULT_LAMBDA_GRID))
     p.add_argument("--out", help="write the metric table CSV here")
     p.set_defaults(fn=_cmd_sweep_lambda)
     return parser

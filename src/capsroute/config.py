@@ -59,14 +59,12 @@ _KEYS: dict[str, tuple[type | None, Any, str]] = {
     "conv_kernel": (ModelConfig, "conv_kernel", "stem and primary conv kernel size"),
     "d_primary": (ModelConfig, "d_primary", "primary capsule dimensionality"),
     "d_digit": (ModelConfig, "d_digit", "digit capsule dimensionality"),
-    "n_classes": (ModelConfig, "n_classes", "number of digit capsules"),
     "affine_kind": (ModelConfig, "affine_kind", "vote transform: shared | conv | constant"),
     "routing_method": (RoutingSpec, "method", "dynamic | attention"),
     "routing_iterations": (RoutingSpec, "iterations", "rounds of dynamic routing"),
     "attention_softmax_axis": (RoutingSpec, "softmax_axis", "input_caps | output_caps"),
     "attention_scale_by_sqrt_d": (RoutingSpec, "scale_by_sqrt_d", "scale attention logits by 1/sqrt(d_digit)"),
     "decoder_hidden": (ModelConfig, "decoder_hidden", "decoder layer widths"),
-    "positive_class": (ModelConfig, "positive_class", "capsule index scored for ranking metrics"),
     # loss
     "weight_mode": (WeightedLossParams, "weight_mode", "literal | inverse | uniform class weighting"),
     "lambda_reg": (WeightedLossParams, "lambda_reg", "regression (auxiliary) loss multiplier"),
@@ -176,11 +174,9 @@ def margin_params_from(cfg: dict[str, Any]) -> MarginLossParams:
     return _build(MarginLossParams, cfg)
 
 
-def weighted_params_from(cfg: dict[str, Any], proportions: tuple[float, ...] | None = None) -> WeightedLossParams:
-    """The loss weighting of ``cfg``; the class proportions keep their default
-    unless ``proportions`` is given."""
-    fixed = {} if proportions is None else {"class_proportions": proportions}
-    return _build(WeightedLossParams, cfg, **fixed)
+def weighted_params_from(cfg: dict[str, Any]) -> WeightedLossParams:
+    """The loss weighting of ``cfg``, at the default class proportions."""
+    return _build(WeightedLossParams, cfg)
 
 
 def default_config_text() -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataFormatError, StratificationError
 
-__all__ = ["SynthConfig", "EchoDataset", "generate", "save", "load", "check_fractions", "split",
+__all__ = ["SynthConfig", "EchoDataset", "generate", "save", "load", "check_split", "split",
            "class_proportions"]
 
 CHAMBER_ASPECT = 1.4  # major over minor axis of the chamber ellipse
@@ -50,6 +50,10 @@ class SynthConfig:
     allow_width_overlap: bool = False
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ConfigurationError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must lie in [0, 2**64), got {self.seed}")
         c, h, w = self.image_size
         if c not in (1, 3):
             raise ConfigurationError(f"image channels must be 1 or 3, got {c}")
@@ -285,12 +289,15 @@ def _largest_remainder(total: int, fractions: tuple[float, ...]) -> list[int]:
     return counts
 
 
-def check_fractions(fractions: tuple[float, ...]) -> None:
-    """Reject split fractions that are not three non-negative shares summing to 1."""
+def check_split(fractions: tuple[float, ...], seed: int) -> None:
+    """Reject split fractions that are not three non-negative shares summing to
+    1, and a negative split seed."""
     if len(fractions) != 3:
         raise ConfigurationError(f"expected 3 fractions (train, val, test), got {len(fractions)}")
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"fractions must be non-negative and sum to 1, got {fractions}")
+    if seed < 0:
+        raise ConfigurationError(f"split seed must be >= 0, got {seed}")
 
 
 def split(
@@ -303,7 +310,7 @@ def split(
     of the exact proportional share. A non-empty subset that would receive no
     positives (while the dataset has them) raises ``StratificationError``.
     """
-    check_fractions(fractions)
+    check_split(fractions, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     buckets: list[list[int]] = [[], [], []]
     for cls in (0, 1):
@@ -328,9 +335,9 @@ def split(
     return parts[0], parts[1], parts[2]
 
 
-def class_proportions(labels: np.ndarray, n_classes: int = 2) -> tuple[float, ...]:
-    """Empirical class frequencies, the input for loss weighting."""
+def class_proportions(labels: np.ndarray) -> tuple[float, float]:
+    """Empirical frequencies of classes 0 and 1, the input for loss weighting."""
     y = np.asarray(labels, dtype=np.int64)
     if y.size == 0:
         raise ConfigurationError("cannot compute class proportions of an empty set")
-    return tuple(float(np.sum(y == k)) / y.size for k in range(n_classes))
+    return tuple(float(np.sum(y == k)) / y.size for k in (0, 1))

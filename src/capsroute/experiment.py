@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from . import config as cfg_mod
-from .data import EchoDataset, check_fractions, class_proportions, generate, load, split
+from .data import EchoDataset, check_split, class_proportions, generate, load, split
 from .errors import ConfigurationError
 from .losses import MarginLossParams, WeightedLossParams
 from .metrics import format_value
@@ -48,7 +48,7 @@ def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, Ec
     no such split, so that setting is rejected with one.
     """
     fractions = tuple(cfg["split_fractions"])
-    check_fractions(fractions)
+    check_split(fractions, cfg["split_seed"])
     if data_path is not None:
         if cfg["rotation_shift_test"]:
             raise ConfigurationError("rotation_shift_test=true renders its own test split; "
@@ -91,9 +91,8 @@ class _ModelSpec:
                    cfg_mod.weighted_params_from(cfg), cfg["image_size"], cfg["seed"])
 
     def build(self, labels: np.ndarray):
-        proportions = class_proportions(labels, self.config.n_classes)
-        return build_model(self.config, self.image_size, self.margin,
-                           replace(self.weighted, class_proportions=proportions), seed=self.seed)
+        weighted = replace(self.weighted, class_proportions=class_proportions(labels))
+        return build_model(self.config, self.image_size, self.margin, weighted, seed=self.seed)
 
 
 def build_configured_model(cfg: dict[str, Any], labels: np.ndarray):

@@ -234,7 +234,7 @@ def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradChec
        lambda: losses.weighted_cross_entropy(ce_logits, targets, np.array([0.25, 0.75])))
 
     model = models.build_model(
-        models.ModelConfig.small(),
+        models.ModelConfig(hidden_dim=16),
         (1, 32, 32),
         margin,
         losses.WeightedLossParams(class_proportions=(0.8, 0.2)),

@@ -114,19 +114,18 @@ def margin_loss(norms: Tensor, targets: np.ndarray, params: MarginLossParams | N
 def weighted_capsule_loss(
     norms: Tensor,
     targets: np.ndarray,
-    reg_pred: Tensor | None,
-    reg_true: np.ndarray | None,
-    recon: Tensor | None,
-    images_flat: np.ndarray | None,
+    reg_pred: Tensor,
+    reg_true: np.ndarray,
+    recon: Tensor,
+    images_flat: np.ndarray,
     margin: MarginLossParams,
     weighted: WeightedLossParams,
 ) -> tuple[Tensor, dict[str, float]]:
     """Class-weighted margin loss plus scaled regression and reconstruction MSE.
 
     Returns the scalar total (a graph node) and a component breakdown of
-    already-scaled contributions for logging. Auxiliary terms are skipped when
-    their tensor is None; with uniform weights and both multipliers zero the
-    total equals ``margin_loss``.
+    already-scaled contributions for logging. With uniform weights and both
+    multipliers zero the total equals ``margin_loss``.
     """
     weights = weighted.class_weights()
     if weights.shape[0] != norms.shape[1]:
@@ -135,22 +134,14 @@ def weighted_capsule_loss(
         )
     terms = margin_terms(norms, targets, margin)
     classification = (terms * Tensor(weights[None, :])).sum(axis=1).mean()
-    total = classification
-    components = {"classification": classification.item(), "regression": 0.0, "reconstruction": 0.0}
-
-    if reg_pred is not None:
-        residual = square(reg_pred - Tensor(np.asarray(reg_true, dtype=np.float64))).mean()
-        term = scale(residual, weighted.lambda_reg)
-        total = total + term
-        components["regression"] = term.item()
-    if recon is not None:
-        residual = square(recon - Tensor(np.asarray(images_flat, dtype=np.float64))).mean()
-        term = scale(residual, weighted.lambda_recon)
-        total = total + term
-        components["reconstruction"] = term.item()
-
-    components["total"] = total.item()
-    return total, components
+    residual = square(reg_pred - Tensor(np.asarray(reg_true, dtype=np.float64))).mean()
+    regression = scale(residual, weighted.lambda_reg)
+    residual = square(recon - Tensor(np.asarray(images_flat, dtype=np.float64))).mean()
+    reconstruction = scale(residual, weighted.lambda_recon)
+    total = classification + regression + reconstruction
+    parts = {"classification": classification, "regression": regression,
+             "reconstruction": reconstruction, "total": total}
+    return total, {name: part.item() for name, part in parts.items()}
 
 
 def weighted_cross_entropy(

@@ -12,7 +12,8 @@ spatial arithmetic, reporting the computed shape chain when it breaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,19 +46,22 @@ ARCHITECTURES = ("cardiocaps", "cnn1", "cnn2")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters. The defaults are the full-size capsule model;
-    ``small()`` is the desk-scale preset used by the fast experiments."""
+    """Architecture hyperparameters; the defaults are the full-size capsule model.
+
+    Labels are binary, so every model has two output classes (one digit
+    capsule or logit each) and scores class 1, the positive class.
+    """
+
+    n_classes: ClassVar[int] = 2
 
     architecture: str = "cardiocaps"
     hidden_dim: int = 32
     conv_kernel: int = 9
     d_primary: int = 8
     d_digit: int = 16
-    n_classes: int = 2
     affine_kind: str = "shared"  # "shared" | "conv" | "constant"
     routing: RoutingSpec = field(default_factory=RoutingSpec)
     decoder_hidden: tuple[int, int] = (128, 256)
-    positive_class: int = 1
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -67,15 +71,8 @@ class ModelConfig:
         for name in ("hidden_dim", "conv_kernel", "d_primary", "d_digit"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        if not 0 <= self.positive_class < self.n_classes:
-            raise ConfigurationError(
-                f"positive_class {self.positive_class} out of range for {self.n_classes} classes"
-            )
-
-    @staticmethod
-    def small(**overrides) -> "ModelConfig":
-        base = ModelConfig(hidden_dim=16)
-        return replace(base, **overrides) if overrides else base
+        if min(self.decoder_hidden) < 1:
+            raise ConfigurationError(f"decoder_hidden widths must be >= 1, got {self.decoder_hidden}")
 
 
 class CapsuleClassifier:
@@ -142,7 +139,7 @@ class CapsuleClassifier:
         )
 
     def predict(self, images: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        return classify(self.digit_caps(images), self.cfg.positive_class)
+        return classify(self.digit_caps(images))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         params = [("conv.weight", self.conv_weight), ("conv.bias", self.conv_bias)]
@@ -210,7 +207,7 @@ class CnnClassifier:
         logits = self.forward(images)
         probs = softmax(logits, axis=1).data
         preds = logits.data.argmax(axis=1).astype(np.int64)
-        return preds, probs[:, self.cfg.positive_class].copy()
+        return preds, probs[:, 1].copy()
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [

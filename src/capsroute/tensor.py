@@ -93,7 +93,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data)
+        return float(self.data.item())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

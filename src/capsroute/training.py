@@ -31,17 +31,16 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigurationError("batch_size and max_epochs must be >= 1")
         if self.patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if not (self.lr > 0 and self.eps > 0 and 0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigurationError(f"Adam needs lr, eps > 0 and beta1, beta2 in [0, 1), got {self}")
+        if not self.lr > 0:
+            raise ConfigurationError(f"Adam needs lr > 0, got lr={self.lr}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -135,7 +134,7 @@ def train(
         )
     record = ExperimentRecord(config=dict(config_snapshot or {}), seed=tc.seed)
     params = model.parameters()
-    optimizer = Adam(params, lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
+    optimizer = Adam(params, lr=tc.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(tc.seed, spawn_key=(1,)))
 
     best_val = np.inf

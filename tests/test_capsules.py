@@ -250,7 +250,7 @@ def test_classify_hand_case_and_tie_rule():
 def test_classify_matches_scalar_loop():
     rng = np.random.default_rng(13)
     caps = rng.normal(size=(5, 4, 6))
-    preds, scores = classify(leaf(caps), positive_class=1)
+    preds, scores = classify(leaf(caps))
     for b in range(5):
         norms = [np.linalg.norm(caps[b, j]) for j in range(4)]
         best = 0

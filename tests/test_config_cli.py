@@ -166,9 +166,9 @@ def test_builders_map_config_keys():
     assert tc.seed == 9
     margin = margin_params_from(cfg)
     assert (margin.m_plus, margin.m_minus) == (0.8, 0.2)
-    weighted = weighted_params_from(cfg, (0.7, 0.3))
+    weighted = weighted_params_from(cfg)
     assert weighted.weight_mode == "literal"
-    assert weighted.class_proportions == (0.7, 0.3)
+    assert weighted.class_proportions == (0.5, 0.5)
     assert weighted.lambda_reg == 0.1
 
 
@@ -329,7 +329,8 @@ def _forbid(monkeypatch, owner, *names):
 @pytest.mark.parametrize(
     "bad",
     ["lr=-0.01", "routing_iterations=0", "max_epochs=0", "split_fractions=0.5,0.5,0.5",
-     "m_minus=0.95", "lambda_reg=-1", "positive_class=2"],
+     "m_minus=0.95", "lambda_reg=-1", "positive_class=2", "n_classes=3", "seed=-1",
+     "split_seed=-1", "decoder_hidden=0,5"],
 )
 def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     tmp_path, capsys, monkeypatch, bad, with_data
@@ -344,12 +345,14 @@ def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_train_rejects_a_bad_generator_value_before_generating(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("bad", ["positive_ratio=1.5", "data_seed=-1", "n_samples=0", "n_samples=-1"])
+def test_cli_train_rejects_a_bad_generator_value_before_generating(tmp_path, capsys, monkeypatch, bad):
     _forbid(monkeypatch, data, "generate")
     _forbid(monkeypatch, experiment, "generate")
-    argv = ["train", *tiny_args("positive_ratio=1.5"), "--run-dir", str(tmp_path / "run")]
+    argv = ["train", *tiny_args(bad), "--run-dir", str(tmp_path / "run")]
     assert main(argv) == 2
-    assert "positive_ratio" in capsys.readouterr().err
+    field = bad.split("=")[0].removeprefix("data_")  # SynthConfig calls the data seed "seed"
+    assert field in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -396,6 +399,18 @@ def test_cli_eval_rejects_a_data_file_of_another_image_shape(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "1x24x24" in captured.err and "1x20x20" in captured.err
+
+
+@pytest.mark.parametrize("removed", ["n_classes=2", "positive_class=1"])
+def test_cli_eval_rejects_a_run_directory_naming_a_removed_key(tmp_path, capsys, removed):
+    # Runs saved before labels were fixed to binary name these keys in config.txt.
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.txt").write_text(default_config_text() + removed + "\n", encoding="utf-8")
+    assert main(["eval", "--run-dir", str(run_dir), "--data", str(tmp_path / "never-read.ecap")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown configuration key" in err
+    assert removed.split("=")[0] in err
 
 
 def test_cli_train_rejects_rotation_shift_test_with_a_data_file(tmp_path, capsys, monkeypatch):

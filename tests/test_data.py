@@ -348,10 +348,10 @@ def test_split_validation():
 
 
 def test_class_proportions():
-    assert class_proportions(np.array([0, 1, 1, 0]), 2) == (0.5, 0.5)
-    assert class_proportions(np.array([0, 0, 0, 1]), 2) == (0.75, 0.25)
+    assert class_proportions(np.array([0, 1, 1, 0])) == (0.5, 0.5)
+    assert class_proportions(np.array([0, 0, 0, 1])) == (0.75, 0.25)
     with pytest.raises(ConfigurationError):
-        class_proportions(np.array([]), 2)
+        class_proportions(np.array([]))
 
 
 def test_subset_and_len():

@@ -25,6 +25,12 @@ def leaf(values) -> Tensor:
 DEFAULTS = MarginLossParams()
 
 
+def exact_heads(bsz):
+    """Regression and reconstruction outputs equal to their targets: both residuals are 0."""
+    reg, pixels = np.full(bsz, 0.3), np.full((bsz, 4), 0.5)
+    return leaf(reg), reg, leaf(pixels), pixels
+
+
 def margin_loss_oracle(norms, targets, m_plus=0.9, m_minus=0.1, lam=0.5):
     """Scalar-loop margin loss written from the definition."""
     bsz, n_classes = norms.shape
@@ -103,8 +109,7 @@ def test_literal_mode_hand_case():
     # class 1 present with norm 0.9 - sqrt(0.4): (sqrt(0.4))^2 = 0.4
     norms = leaf([[0.1 + np.sqrt(0.2), 0.9 - np.sqrt(0.4)]])
     targets = np.array([[0.0, 1.0]])
-    total, parts = weighted_capsule_loss(norms, targets, None, None, None, None,
-                                         DEFAULTS, params)
+    total, parts = weighted_capsule_loss(norms, targets, *exact_heads(1), DEFAULTS, params)
     assert_allclose(total.item(), 0.16, rtol=1e-12)
     assert_allclose(parts["classification"], 0.16, rtol=1e-12)
     assert parts["regression"] == 0.0
@@ -116,8 +121,7 @@ def test_uniform_weights_and_zero_multipliers_reduce_to_margin_loss():
     norms_data = rng.uniform(0.0, 1.0, size=(6, 2))
     targets = one_hot(rng.integers(0, 2, size=6), 2)
     params = WeightedLossParams(weight_mode="uniform", lambda_reg=0.0, lambda_recon=0.0)
-    total, _ = weighted_capsule_loss(leaf(norms_data), targets, None, None, None, None,
-                                     DEFAULTS, params)
+    total, _ = weighted_capsule_loss(leaf(norms_data), targets, *exact_heads(6), DEFAULTS, params)
     assert_allclose(total.item(), margin_loss(leaf(norms_data), targets).item(), rtol=1e-14)
 
 
@@ -128,10 +132,10 @@ def test_inverse_mode_flips_proportions():
 
 def test_perfect_regression_contributes_zero():
     params = WeightedLossParams(lambda_reg=0.5, lambda_recon=0.0)
-    reg = np.array([0.3, 0.7])
+    reg, pixels = np.array([0.3, 0.7]), np.full((2, 4), 0.5)
     total, parts = weighted_capsule_loss(
         leaf([[0.9, 0.1], [0.9, 0.1]]), one_hot(np.array([0, 0]), 2),
-        leaf(reg), reg, None, None, DEFAULTS, params,
+        leaf(reg), reg, leaf(pixels), pixels, DEFAULTS, params,
     )
     assert parts["regression"] == 0.0
 
@@ -190,7 +194,7 @@ def test_mismatched_class_count_rejected():
     params = WeightedLossParams(class_proportions=(0.5, 0.3, 0.2))
     with pytest.raises(ConfigurationError):
         weighted_capsule_loss(leaf(np.zeros((1, 2))), np.array([[1.0, 0.0]]),
-                              None, None, None, None, DEFAULTS, params)
+                              *exact_heads(1), DEFAULTS, params)
 
 
 # -------------------------------------------------------------- cross entropy

@@ -131,6 +131,15 @@ def test_backward_requires_scalar():
         leaf(np.ones(3)).backward()
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_any_single_element_tensor(shape):
+    # backward() takes these shapes as scalar losses, so item() must read them too.
+    t = leaf(np.full(shape, 2.5))
+    assert t.item() == 2.5 and type(t.item()) is float
+    with pytest.raises(ContractError):
+        leaf(np.ones(2)).item()
+
+
 def test_non_positive_eps_rejected():
     with pytest.raises(ContractError):
         T.vector_norm(leaf(np.ones((1, 2))), eps=0.0)

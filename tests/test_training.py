@@ -49,7 +49,7 @@ TINY_SYNTH = SynthConfig(
 
 
 def tiny_model(seed=3, **overrides):
-    cfg = ModelConfig.small(**overrides)
+    cfg = ModelConfig(**{"hidden_dim": 16, **overrides})
     return build_model(
         cfg,
         image_size=(1, 20, 20),
@@ -91,7 +91,7 @@ CAPSULE_VARIANTS = pytest.mark.parametrize(
 def test_capsule_predict_reads_only_the_digit_capsules(overrides):
     model = tiny_model(**overrides)
     images = Tensor(np.random.default_rng(4).uniform(size=(5, 1, 20, 20)))
-    want_preds, want_scores = classify(model.digit_caps(images), model.cfg.positive_class)
+    want_preds, want_scores = classify(model.digit_caps(images))
 
     def training_only_head(_):
         raise AssertionError("predict ran a head that only shapes training")
@@ -167,7 +167,7 @@ def test_parameter_names_are_the_checkpoint_keys(overrides, names):
 
 
 def tiny_model_with_image(image_size, **overrides):
-    cfg = ModelConfig.small(**overrides)
+    cfg = ModelConfig(**{"hidden_dim": 16, **overrides})
     return build_model(
         cfg, image_size, MarginLossParams(), WeightedLossParams(), seed=3
     )
@@ -334,8 +334,7 @@ def test_records_are_identical_across_processes_and_blas_threads():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("eps", 0.0), ("eps", float("nan")),
-     ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0), ("beta2", float("nan"))],
+    [("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("seed", -1)],
 )
 def test_train_config_rejects_values_outside_their_range(field, value):
     with pytest.raises(ConfigurationError, match=field):
