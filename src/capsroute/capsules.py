@@ -95,17 +95,16 @@ class PrimaryCapsules:
         self,
         in_channels: int,
         out_channels: int,
-        d: int = 8,
-        kernel: int = 9,
-        stride: int = 2,
-        rng: np.random.Generator | None = None,
+        d: int,
+        kernel: int,
+        stride: int,
+        rng: np.random.Generator,
     ):
         if out_channels % d:
             raise ConfigurationError(
                 f"primary capsules need out_channels divisible by capsule size: "
                 f"{out_channels} % {d} != 0"
             )
-        rng = rng or np.random.default_rng(0)
         self.caps_per_cell = out_channels // d
         self.d = d
         self.stride = stride
@@ -134,9 +133,8 @@ class SharedAffine:
         d_in: int,
         n_out: int,
         d_out: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ):
-        rng = rng or np.random.default_rng(0)
         self.n_out, self.d_out = n_out, d_out
         std = 1.0 / np.sqrt(d_in)
         self.weight = Tensor(
@@ -171,9 +169,8 @@ class ConvAffine:
         d_in: int,
         n_out: int,
         d_out: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
     ):
-        rng = rng or np.random.default_rng(0)
         self.d_in = d_in
         self.n_out, self.d_out = n_out, d_out
         self.weight, self.bias = conv_params(
@@ -227,7 +224,7 @@ def make_affine(
     n_out: int,
     d_out: int,
     caps_per_cell: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ):
     if kind == "shared":
         return SharedAffine(n_in, d_in, n_out, d_out, rng)
@@ -383,10 +380,9 @@ class Decoder:
         self,
         in_dim: int,
         out_dim: int,
-        hidden: tuple[int, int] = (128, 256),
-        rng: np.random.Generator | None = None,
+        hidden: tuple[int, int],
+        rng: np.random.Generator,
     ):
-        rng = rng or np.random.default_rng(0)
         self.layers = [
             _Linear(in_dim, hidden[0], rng),
             _Linear(hidden[0], hidden[1], rng),
@@ -410,8 +406,7 @@ class Decoder:
 class RegressionHead:
     """Linear readout of all digit capsules to one scalar per sample."""
 
-    def __init__(self, in_dim: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, in_dim: int, rng: np.random.Generator):
         self.linear = _Linear(in_dim, 1, rng, gain="linear")
 
     def __call__(self, digit_caps: Tensor) -> Tensor:

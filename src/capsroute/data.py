@@ -312,20 +312,14 @@ def split(
     """
     check_split(fractions, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    buckets: list[list[int]] = [[], [], []]
+    dealt = []
     for cls in (0, 1):
-        idx = np.flatnonzero(dataset.labels == cls)
-        idx = rng.permutation(idx)
-        counts = _largest_remainder(idx.size, tuple(fractions))
-        start = 0
-        for k, cnt in enumerate(counts):
-            buckets[k].extend(idx[start : start + cnt].tolist())
-            start += cnt
+        idx = rng.permutation(np.flatnonzero(dataset.labels == cls))
+        dealt.append(np.split(idx, np.cumsum(_largest_remainder(idx.size, fractions))[:-1]))
     total_pos = int((dataset.labels == 1).sum())
     parts = []
-    for k, bucket in enumerate(buckets):
-        chosen = np.sort(np.asarray(bucket, dtype=np.int64))
-        part = dataset.subset(chosen)
+    for k, (neg_idx, pos_idx) in enumerate(zip(*dealt)):
+        part = dataset.subset(np.sort(np.concatenate([neg_idx, pos_idx])))
         if total_pos > 0 and len(part) > 0 and int(part.labels.sum()) == 0:
             raise StratificationError(
                 f"subset {k} has {len(part)} samples but no positives; "

@@ -45,10 +45,16 @@ def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, Ec
     With ``rotation_shift_test`` enabled, the test split is rendered
     separately from ``rotation_range_test`` using sample indices disjoint from
     the pool, so train/val geometry statistics stay untouched. A data file has
-    no such split, so that setting is rejected with one.
+    no such split, so that setting is rejected with one. Training needs both a
+    train and a validation split, so a zero share for either is rejected
+    before any data work.
     """
     fractions = tuple(cfg["split_fractions"])
     check_split(fractions, cfg["split_seed"])
+    if min(fractions[:2]) == 0:
+        raise ConfigurationError(
+            f"split_fractions needs a non-zero train and validation share, got {fractions}"
+        )
     if data_path is not None:
         if cfg["rotation_shift_test"]:
             raise ConfigurationError("rotation_shift_test=true renders its own test split; "

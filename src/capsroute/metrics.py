@@ -64,10 +64,7 @@ def confusion_counts(preds, labels) -> tuple[int, int, int, int]:
     y = _as_binary("labels", labels)
     if p.shape != y.shape:
         raise ContractError(f"predictions {p.shape} and labels {y.shape} differ in length")
-    tp = int(np.sum((p == 1) & (y == 1)))
-    fp = int(np.sum((p == 1) & (y == 0)))
-    tn = int(np.sum((p == 0) & (y == 0)))
-    fn = int(np.sum((p == 0) & (y == 1)))
+    tn, fn, fp, tp = np.bincount(2 * p + y, minlength=4).tolist()
     return tp, fp, tn, fn
 
 
@@ -86,34 +83,31 @@ def f1_score(preds, labels) -> float:
     return 0.0 if denom == 0 else 2 * tp / denom
 
 
+def _tie_groups(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative counts of each distinct score, highest score first."""
+    y = _as_binary("labels", labels)
+    _, group = np.unique(-_as_scores(scores, y), return_inverse=True)
+    pos = np.bincount(group, weights=y)
+    return pos, np.bincount(group) - pos
+
+
 def roc_auc(scores, labels) -> float:
-    """Area under the ROC curve by the rank statistic.
+    """Area under the ROC curve by counting ranked pairs over tie groups.
 
     Equals the probability that a random positive outranks a random negative,
     with ties counting one half. Raises ``UndefinedMetricError`` unless both
     classes are present.
     """
-    y = _as_binary("labels", labels)
-    s = _as_scores(scores, y)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
+    pos, neg = _tie_groups(scores, labels)
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"roc_auc needs both classes, got {n_pos} positives / {n_neg} negatives"
         )
-    order = np.argsort(s, kind="stable")
-    sorted_scores = s[order]
-    ranks = np.empty(s.size)
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        # Average of the 1-based ranks i+1 .. j; a half-integer, hence exact.
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    # Each positive outranks the negatives of lower groups and ties half of its
+    # own: a sum of half-integers, hence exact.
+    pairs = np.sum(pos * (n_neg - np.cumsum(neg) + neg / 2))
+    return float(pairs) / (n_pos * n_neg)
 
 
 def pr_auc(scores, labels) -> float:
@@ -122,30 +116,16 @@ def pr_auc(scores, labels) -> float:
     Tied scores enter as a single group: the precision after the whole group
     is weighted by the recall the group adds. Requires at least one positive.
     """
-    y = _as_binary("labels", labels)
-    s = _as_scores(scores, y)
-    n_pos = int(y.sum())
+    pos, neg = _tie_groups(scores, labels)
+    n_pos = int(pos.sum())
     if n_pos == 0:
         raise UndefinedMetricError("pr_auc needs at least one positive label")
-    order = np.argsort(-s, kind="stable")
-    s_desc, y_desc = s[order], y[order]
-    ap = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and s_desc[j] == s_desc[i]:
-            j += 1
-        group_pos = int(y_desc[i:j].sum())
-        tp += group_pos
-        fp += (j - i) - group_pos
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return ap
+    tp = np.cumsum(pos)
+    recall = tp / n_pos
+    precision = tp / (tp + np.cumsum(neg))
+    # cumsum adds the terms in threshold order, one at a time; np.sum would
+    # add them pairwise and round differently.
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 @dataclass

@@ -150,7 +150,8 @@ class Tensor:
 
         ``self`` must hold a single element. Gradients are assigned, not
         accumulated across calls, so running backward twice on the same graph
-        yields bit-identical results. Op outputs get no ``grad``.
+        yields bit-identical results. Op outputs get no ``grad``, and no two
+        leaves share a ``grad`` array.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -158,6 +159,7 @@ class Tensor:
             )
         order = self._topological_order()
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        handed: set[int] = set()  # ids of the arrays that own each leaf's grad memory
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
@@ -169,12 +171,14 @@ class Tensor:
                     held = grads.get(id(parent))
                     grads[id(parent)] = pg if held is None else held + pg
             elif node.requires_grad:
-                # Densify broadcast/transpose views; np.array keeps 0-d shapes
+                # Densify broadcast/transpose views, and copy an array whose
+                # memory another leaf already holds; np.array keeps 0-d shapes
                 # where ascontiguousarray would promote them to (1,).
-                if g.flags.c_contiguous and g.flags.writeable:
-                    node.grad = g
-                else:
-                    node.grad = np.array(g)
+                owner = g if g.base is None else g.base
+                if id(owner) in handed or not (g.flags.c_contiguous and g.flags.writeable):
+                    g = owner = np.array(g)
+                handed.add(id(owner))
+                node.grad = g
 
     def _topological_order(self) -> list["Tensor"]:
         # Iterative post-order walk; parents land before their consumers.

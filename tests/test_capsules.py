@@ -110,7 +110,8 @@ def test_primary_capsules_shift_with_input_by_one_grid_cell():
 
 def test_primary_capsules_reject_indivisible_channels():
     with pytest.raises(ConfigurationError):
-        PrimaryCapsules(in_channels=1, out_channels=12, d=8)
+        PrimaryCapsules(in_channels=1, out_channels=12, d=8, kernel=9, stride=2,
+                        rng=np.random.default_rng(0))
 
 
 def test_primary_capsules_gradcheck():
@@ -175,7 +176,7 @@ def test_shared_affine_matches_triple_loop_oracle():
 
 
 def test_shared_affine_rejects_wrong_bank_shape():
-    layer = SharedAffine(4, 3, 2, 5)
+    layer = SharedAffine(4, 3, 2, 5, rng=np.random.default_rng(0))
     with pytest.raises(DimensionError):
         layer(CapsuleBank(leaf(np.zeros((1, 5, 3)))))
 
@@ -197,7 +198,7 @@ def test_conv_affine_shapes_and_locality():
 
 
 def test_conv_affine_requires_grid():
-    layer = ConvAffine(caps_per_cell=2, d_in=4, n_out=2, d_out=5)
+    layer = ConvAffine(caps_per_cell=2, d_in=4, n_out=2, d_out=5, rng=np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
         layer(CapsuleBank(leaf(np.zeros((1, 8, 4)))))
 
@@ -221,14 +222,14 @@ def test_conv_affine_gradcheck():
 
 def test_decoder_range_and_length():
     rng = np.random.default_rng(11)
-    dec = Decoder(in_dim=8, out_dim=3 * 4 * 5, rng=rng)
+    dec = Decoder(in_dim=8, out_dim=3 * 4 * 5, hidden=(128, 256), rng=rng)
     out = dec(leaf(rng.normal(size=(2, 8))))
     assert out.shape == (2, 60)
     assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
 
 def test_regression_head_zero_weights_outputs_bias():
-    head = RegressionHead(in_dim=6)
+    head = RegressionHead(in_dim=6, rng=np.random.default_rng(0))
     head.linear.weight.data[:] = 0.0
     head.linear.bias.data[:] = 0.7
     out = head(leaf(np.random.default_rng(12).normal(size=(4, 6))))

@@ -325,12 +325,16 @@ def _forbid(monkeypatch, owner, *names):
         monkeypatch.setattr(owner, name, reached)
 
 
+# train() needs a non-empty train and validation split; data.split alone accepts zero shares.
+_ZERO_SHARES = ["split_fractions=0,0,1", "split_fractions=0.9,0,0.1"]
+
+
 @pytest.mark.parametrize("with_data", [False, True], ids=["generated", "data-file"])
 @pytest.mark.parametrize(
     "bad",
     ["lr=-0.01", "routing_iterations=0", "max_epochs=0", "split_fractions=0.5,0.5,0.5",
      "m_minus=0.95", "lambda_reg=-1", "positive_class=2", "n_classes=3", "seed=-1",
-     "split_seed=-1", "decoder_hidden=0,5"],
+     "split_seed=-1", "decoder_hidden=0,5", *_ZERO_SHARES],
 )
 def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     tmp_path, capsys, monkeypatch, bad, with_data
@@ -342,6 +346,7 @@ def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert bad not in _ZERO_SHARES or "split_fractions" in err
     assert not (tmp_path / "run").exists()
 
 

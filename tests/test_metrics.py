@@ -138,18 +138,32 @@ def random_case(rng):
     return scores, rng.permutation(labels)
 
 
-def test_roc_matches_pair_oracle_exactly_on_200_cases():
-    rng = np.random.default_rng(100)
+def many_score_case(rng):
+    """100 to 400 scores from 2,000 levels, so most are distinct: PR AUC then
+    adds hundreds of terms, and their order of addition shows in the last bits."""
+    n = int(rng.integers(100, 401))
+    scores = rng.integers(0, 2000, size=n) / 2000.0
+    labels = (rng.random(n) < 0.3).astype(int)
+    labels[0] = 1
+    labels[1] = 0
+    return scores, rng.permutation(labels)
+
+
+def oracle_cases(seed):
+    """180 coarse cases with many ties, then 20 with many distinct scores."""
+    rng = np.random.default_rng(seed)
     for case in range(200):
-        scores, labels = random_case(rng)
+        yield case, *(random_case(rng) if case < 180 else many_score_case(rng))
+
+
+def test_roc_matches_pair_oracle_exactly_on_200_cases():
+    for case, scores, labels in oracle_cases(100):
         assert roc_auc(scores, labels) == roc_pair_oracle(scores, labels), (
             case, scores.tolist(), labels.tolist())
 
 
 def test_pr_matches_threshold_oracle_exactly_on_200_cases():
-    rng = np.random.default_rng(101)
-    for case in range(200):
-        scores, labels = random_case(rng)
+    for case, scores, labels in oracle_cases(101):
         assert pr_auc(scores, labels) == pr_threshold_oracle(scores, labels), (
             case, scores.tolist(), labels.tolist())
 

@@ -105,8 +105,7 @@ def test_dynamic_one_round_uniform_coupling():
     rng = np.random.default_rng(0)
     votes = rng.normal(size=(2, 5, 3, 4))
     bank, state = dynamic_routing(leaf(votes), iterations=1)
-    expected = squash(leaf(votes.mean(axis=1))).data  # c = 1/J then sum = mean over i? no:
-    # c_ij = 1/J over outputs, so s_j = (1/J) * sum_i u_ij — compute directly:
+    # c_ij = 1/J over outputs, so s_j = (1/J) * sum_i u_ij:
     s = votes.sum(axis=1) / 3.0
     expected = squash(leaf(s)).data
     assert_allclose(bank.activations.data, expected, atol=1e-12)

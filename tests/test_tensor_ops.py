@@ -185,6 +185,18 @@ def test_backward_sets_gradients_on_leaves_only():
     assert_allclose(w.grad, x.data.T @ dy, rtol=1e-12)
 
 
+@pytest.mark.parametrize("reshaped", [False, True], ids=["same-shape", "reshaped"])
+def test_leaves_never_share_a_gradient_array(reshaped):
+    a = leaf(np.ones((3, 2) if reshaped else (2, 3)))
+    b = leaf(np.ones((2, 3)))
+    w = Tensor(np.arange(6.0).reshape(2, 3))
+    (((a.reshape((2, 3)) if reshaped else a) + b) * w).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad *= 2.0  # scaling one gradient in place leaves the other alone
+    assert_array_equal(b.grad, w.data)
+    assert_array_equal(a.grad, 2.0 * w.data.reshape(a.shape))
+
+
 def test_no_grad_blocks_recording():
     with no_grad():
         x = Tensor(np.ones(3), requires_grad=True)

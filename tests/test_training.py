@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 import capsroute
 from capsroute import (
@@ -298,6 +298,17 @@ def test_identical_runs_produce_identical_records_and_parameters():
         assert np.array_equal(pa.data, pb.data), name
 
 
+def _run_in_process(script: str, threads: int, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter at ``threads`` BLAS threads; return its stdout."""
+    src = str(Path(capsroute.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return done.stdout
+
+
 # Trains cardiocaps with attention routing and shared votes, then with dynamic
 # routing and convolutional votes, and prints both canonical records.
 _CROSS_PROCESS_RUN = """
@@ -317,19 +328,52 @@ for cfg in (ModelConfig(), ModelConfig(affine_kind="conv", routing=RoutingSpec("
 
 
 def test_records_are_identical_across_processes_and_blas_threads():
-    src = str(Path(capsroute.__file__).resolve().parents[1])
-
-    def run(threads: int) -> str:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(threads)
-        done = subprocess.run([sys.executable, "-c", _CROSS_PROCESS_RUN], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        return done.stdout
-
-    one_thread, two_threads = run(1), run(2)
+    one_thread, two_threads = (_run_in_process(_CROSS_PROCESS_RUN, t) for t in (1, 2))
     assert one_thread.count("[epochs]") == 2  # both records were printed
     assert one_thread == two_threads
+
+
+# The same training settings for the two models whose BLAS GEMMs split their
+# sums by thread count: cnn2 on 3-channel images, and cardiocaps at
+# hidden_dim=16 (16 primary-capsule output channels). Prints both canonical
+# records and saves every parameter to the .npz path in argv[1].
+_THREAD_SENSITIVE_RUN = """
+import sys
+import numpy as np
+from capsroute import (MarginLossParams, ModelConfig, SynthConfig, TrainConfig,
+                       WeightedLossParams, build_model, evaluate, generate, split, train)
+params = {}
+for name, cfg, channels in (("cnn2", ModelConfig(architecture="cnn2"), 3),
+                            ("cardiocaps16", ModelConfig(hidden_dim=16), 1)):
+    image_size = (channels, 32, 32)
+    data = generate(SynthConfig(n_samples=32, image_size=image_size, positive_ratio=0.5, seed=5))
+    train_set, val_set, _ = split(data, (0.75, 0.125, 0.125), seed=5)
+    model = build_model(cfg, image_size, MarginLossParams(),
+                        WeightedLossParams(class_proportions=(0.5, 0.5)), seed=11)
+    record = train(model, train_set, val_set,
+                   TrainConfig(lr=3e-3, batch_size=8, max_epochs=2, patience=2, seed=11))
+    record.metrics["val"] = evaluate(model, val_set)
+    print(record.canonical_text())
+    params.update({f"{name}.{key}": p.data for key, p in model.parameters()})
+np.savez(sys.argv[1], **params)
+"""
+
+
+def test_thread_sensitive_models_are_identical_per_thread_count_and_close_across(tmp_path):
+    params = {}
+    for threads in (1, 2):
+        paths = [tmp_path / f"threads{threads}-run{k}.npz" for k in (0, 1)]
+        first, second = (_run_in_process(_THREAD_SENSITIVE_RUN, threads, str(p)) for p in paths)
+        assert first.count("[epochs]") == 2  # both records were printed
+        assert first == second
+        with np.load(paths[0]) as a, np.load(paths[1]) as b:
+            assert a.files == b.files
+            for name in a.files:
+                assert_array_equal(a[name], b[name], err_msg=name)
+            params[threads] = dict(a)
+    # Across thread counts the GEMMs add in another order: close, not identical.
+    for name, one_thread in params[1].items():
+        assert_allclose(params[2][name], one_thread, rtol=0, atol=1e-9, err_msg=name)
 
 
 @pytest.mark.parametrize(
