@@ -199,7 +199,7 @@ def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradChec
     op("layer.dynamic_routing", votes,
        lambda: T.square(capsules.dynamic_routing(votes, 3)[0].activations).sum(), tol=1e-5)
     att = capsules.Routing(capsules.RoutingSpec(), 4)
-    att.weight.data = rng.normal(0.0, 0.5, size=(4, 1))
+    att.weight.data[...] = rng.normal(0.0, 0.5, size=(4, 1))
     op("layer.attention_routing", votes,
        lambda: T.square(att(votes)[0].activations).sum(), tol=1e-5)
     op("layer.attention_projection", att.weight,

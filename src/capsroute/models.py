@@ -259,4 +259,4 @@ def load_params(model, path) -> None:
     if extra:
         raise ConfigurationError(f"checkpoint has unknown parameters: {sorted(extra)}")
     for name, p in params:
-        p.data = stored[name].astype(np.float64)
+        np.copyto(p.data, stored[name])

@@ -14,9 +14,10 @@ class Adam:
     """Standard Adam: decaying first/second moment estimates, bias-corrected step.
 
     The update is lr * m_hat / (sqrt(v_hat) + eps); under a constant gradient
-    the step size approaches lr * sign(g). A non-finite gradient aborts
-    training with the offending parameter named, since continuing would poison
-    the moments.
+    the step size approaches lr * sign(g). ``zero_grad`` and ``step`` write
+    into each parameter's own ``grad`` and ``data`` and into its moments. A
+    non-finite gradient aborts training with the offending parameter named,
+    since continuing would poison the moments.
     """
 
     def __init__(
@@ -38,18 +39,19 @@ class Adam:
 
     def zero_grad(self) -> None:
         for _, p in self.params:
-            p.zero_grad()
+            p.grad.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for i, (name, p) in enumerate(self.params):
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for (name, p), m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise TrainingAborted(f"non-finite gradient in parameter {name!r} at step {self.t}")
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -2,12 +2,13 @@
 
 The graph is built eagerly: each operation stores its parent tensors and a
 backward closure on its output. ``Tensor.backward`` walks the recorded
-operations once in reverse topological order and *assigns* ``.grad`` on every
-reachable leaf (a tensor created with ``requires_grad=True``), so repeated
-calls are idempotent (bit-identical results) rather than accumulating.
-Intermediate gradients are dropped as soon as they have been passed on, and op
-outputs keep ``.grad`` at None. Leaves start with zero gradients, which means
-parameters that never participate in a loss read back as zero.
+operations once in reverse topological order and *writes* each reachable
+leaf's gradient into that leaf's own ``.grad`` (a leaf is a tensor created with
+``requires_grad=True``), so repeated calls are idempotent (bit-identical
+results) rather than accumulating. Nothing rebinds a leaf's ``.data`` or
+``.grad`` after construction. Intermediate gradients are dropped as soon as
+they have been passed on, and op outputs keep ``.grad`` at None. Leaves start
+with zero gradients, so parameters that never join a loss read back as zero.
 
 All arithmetic is performed in float64. Nothing in this module owns global
 random state; callers pass ``numpy.random.Generator`` objects where needed.
@@ -99,10 +100,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    def zero_grad(self) -> None:
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
-
     # ------------------------------------------------------------- operators
     def __add__(self, other):
         return add(self, other)
@@ -146,12 +143,12 @@ class Tensor:
 
     # -------------------------------------------------------------- backward
     def backward(self) -> None:
-        """Set ``grad`` to d(self)/d(leaf) on every leaf ancestor that requires it.
+        """Write d(self)/d(leaf) into ``grad`` on every leaf ancestor that requires it.
 
-        ``self`` must hold a single element. Gradients are assigned, not
-        accumulated across calls, so running backward twice on the same graph
-        yields bit-identical results. Op outputs get no ``grad``, and no two
-        leaves share a ``grad`` array.
+        ``self`` must hold a single element. Each reached leaf's ``grad`` array
+        is overwritten in place, not accumulated into, so running backward
+        twice on the same graph yields bit-identical results. Op outputs get
+        no ``grad``.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -159,7 +156,6 @@ class Tensor:
             )
         order = self._topological_order()
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        handed: set[int] = set()  # ids of the arrays that own each leaf's grad memory
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
@@ -171,14 +167,7 @@ class Tensor:
                     held = grads.get(id(parent))
                     grads[id(parent)] = pg if held is None else held + pg
             elif node.requires_grad:
-                # Densify broadcast/transpose views, and copy an array whose
-                # memory another leaf already holds; np.array keeps 0-d shapes
-                # where ascontiguousarray would promote them to (1,).
-                owner = g if g.base is None else g.base
-                if id(owner) in handed or not (g.flags.c_contiguous and g.flags.writeable):
-                    g = owner = np.array(g)
-                handed.add(id(owner))
-                node.grad = g
+                np.copyto(node.grad, g)
 
     def _topological_order(self) -> list["Tensor"]:
         # Iterative post-order walk; parents land before their consumers.

@@ -173,7 +173,7 @@ def train(
                 break
 
     for name, p in params:
-        p.data = best_state[name]
+        np.copyto(p.data, best_state[name])
     record.timings["train_seconds"] = time.perf_counter() - started
     return record
 

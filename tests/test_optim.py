@@ -85,6 +85,9 @@ def test_zero_grad_clears_accumulated_gradients():
     p = param([2.0])
     opt = Adam([("p", p)], lr=0.1)
     (p * p).sum().backward()
-    assert p.grad[0] != 0.0
+    grad = p.grad
+    assert grad[0] != 0.0
     opt.zero_grad()
-    assert_array_equal(p.grad, [0.0])
+    assert p.grad is grad
+    assert_array_equal(grad, [0.0])
+

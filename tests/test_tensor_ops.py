@@ -156,10 +156,12 @@ def scalar_graph(x: Tensor) -> Tensor:
 def test_backward_twice_is_bit_identical():
     rng = np.random.default_rng(3)
     x = leaf(rng.normal(size=(4, 5)))
+    grad = x.grad
     loss = scalar_graph(x)
     loss.backward()
     first = x.grad.copy()
     loss.backward()
+    assert x.grad is grad
     assert_array_equal(x.grad, first)
 
 

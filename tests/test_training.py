@@ -122,7 +122,7 @@ def test_training_step_leaves_gradients_on_parameters_only(overrides):
 def test_capsule_grid_matches_conv_arithmetic():
     # 20 -> conv9 -> 12 -> primary conv9 stride2 -> grid 2x2, two capsules per cell
     model = tiny_model()
-    assert model.grid == (2, 2)
+    assert model.primary(Tensor(np.zeros((1, 16, 12, 12)))).grid == (2, 2)
     assert model.affine.weight.shape[0] == 2 * 2 * 2
 
 
@@ -240,8 +240,11 @@ def constant_dataset(label: int, n: int = 2) -> EchoDataset:
 
 def test_patience_stops_after_strictly_worsening_validation():
     model = _SlopeModel()
+    data, grad = model.p.data, model.p.grad
     tc = TrainConfig(lr=0.05, batch_size=2, max_epochs=10, patience=1, seed=0)
     record = train(model, constant_dataset(1), constant_dataset(0), tc)
+    # the restore after epoch 2's steps writes into the parameter's own arrays
+    assert model.p.data is data and model.p.grad is grad
     # epoch 1 sets the best value; epoch 2 worsens it and exhausts patience=1
     assert len(record.epochs) == 2
     assert record.best_epoch == 1
@@ -438,6 +441,26 @@ def test_save_load_round_trip_restores_predictions(tmp_path):
     preds_after, scores_after = clone.predict(images)
     assert np.array_equal(preds_src, preds_after)
     assert np.array_equal(scores_src, scores_after)
+
+
+def test_train_and_load_params_write_into_the_parameters_own_arrays(tmp_path):
+    train_set, val_set, _ = tiny_splits()
+    model = tiny_model()
+    arrays = [(p.data, p.grad) for _, p in model.parameters()]
+
+    def same_arrays():
+        return all(p.data is data and p.grad is grad
+                   for (_, p), (data, grad) in zip(model.parameters(), arrays))
+
+    train(model, train_set, val_set, TrainConfig(lr=3e-3, batch_size=8, max_epochs=2, seed=7))
+    assert same_arrays()
+    path = tmp_path / "model.npz"
+    save_params(tiny_model(seed=4), path)
+    load_params(model, path)
+    assert same_arrays()
+    with np.load(path) as stored:
+        for name, p in model.parameters():
+            assert_array_equal(p.data, stored[name], err_msg=name)
 
 
 def test_load_rejects_missing_parameter(tmp_path):
