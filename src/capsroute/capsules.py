@@ -251,11 +251,11 @@ class RoutingSpec:
 
     def __post_init__(self):
         if self.method not in ("dynamic", "attention"):
-            raise ConfigurationError(f"unknown routing method: {self.method!r}")
+            raise ConfigurationError(f"unknown routing_method: {self.method!r}")
         if self.iterations < 1:
-            raise ConfigurationError(f"routing iterations must be >= 1, got {self.iterations}")
+            raise ConfigurationError(f"routing_iterations must be >= 1, got {self.iterations}")
         if self.softmax_axis not in ("input_caps", "output_caps"):
-            raise ConfigurationError(f"unknown softmax axis: {self.softmax_axis!r}")
+            raise ConfigurationError(f"unknown attention_softmax_axis: {self.softmax_axis!r}")
 
 
 @dataclass

@@ -53,12 +53,12 @@ class SynthConfig:
         if self.n_samples < 1:
             raise ConfigurationError(f"n_samples must be >= 1, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise ConfigurationError(f"seed (data_seed) must lie in [0, 2**64), got {self.seed}")
         c, h, w = self.image_size
         if c not in (1, 3):
-            raise ConfigurationError(f"image channels must be 1 or 3, got {c}")
+            raise ConfigurationError(f"image_size needs 1 or 3 channels, got {c}")
         if h < 8 or w < 8:
-            raise ConfigurationError(f"image size {h}x{w} is too small to render")
+            raise ConfigurationError(f"image_size {h}x{w} is too small to render")
         if not 0.0 < self.positive_ratio < 1.0:
             raise ConfigurationError(
                 f"positive_ratio must lie strictly between 0 and 1, got {self.positive_ratio}"
@@ -67,8 +67,9 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ConfigurationError(f"{name} has lo > hi: ({lo}, {hi})")
-        if self.width_normal[0] <= 0 or self.width_dilated[0] <= 0:
-            raise ConfigurationError("chamber widths must be positive")
+        for name in ("width_normal", "width_dilated"):
+            if getattr(self, name)[0] <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         overlap = (
             self.width_normal[1] > self.width_dilated[0]
             and self.width_dilated[1] > self.width_normal[0]
@@ -293,11 +294,11 @@ def check_split(fractions: tuple[float, ...], seed: int) -> None:
     """Reject split fractions that are not three non-negative shares summing to
     1, and a negative split seed."""
     if len(fractions) != 3:
-        raise ConfigurationError(f"expected 3 fractions (train, val, test), got {len(fractions)}")
+        raise ConfigurationError(f"split_fractions needs 3 shares (train, val, test), got {len(fractions)}")
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigurationError(f"fractions must be non-negative and sum to 1, got {fractions}")
+        raise ConfigurationError(f"split_fractions must be non-negative and sum to 1, got {fractions}")
     if seed < 0:
-        raise ConfigurationError(f"split seed must be >= 0, got {seed}")
+        raise ConfigurationError(f"split_seed must be >= 0, got {seed}")
 
 
 def split(

@@ -8,6 +8,7 @@ repeats a run across a grid of auxiliary-loss multipliers on fixed data.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -117,12 +118,15 @@ def run_experiment(
     The model and training dataclasses are built before them, so a value out
     of range fails before any data work. Returns (model, record); the record
     embeds the full config snapshot, so a rerun from that snapshot reproduces
-    it bit for bit (timings aside).
+    it bit for bit (timings aside). With ``data_path`` it also holds the
+    file's SHA-256, since the snapshot's generator settings did not make it.
     """
     spec, train_config = _ModelSpec.of(cfg), cfg_mod.train_config_from(cfg)
     train_set, val_set, test_set = splits if splits is not None else prepare_splits(cfg, data_path)
     model = spec.build(train_set.labels)
     record = train(model, train_set, val_set, train_config, cfg_mod.config_snapshot(cfg))
+    if data_path is not None:
+        record.data_sha256 = hashlib.sha256(Path(data_path).read_bytes()).hexdigest()
     record.metrics["train"] = evaluate(model, train_set)
     record.metrics["val"] = evaluate(model, val_set)
     if len(test_set):

@@ -110,7 +110,6 @@ class CapsuleClassifier:
             cfg.hidden_dim, cfg.hidden_dim, d=cfg.d_primary, kernel=k, stride=2, rng=rng
         )
         n_in = hg * wg * self.primary.caps_per_cell
-        self.grid = (hg, wg)
         self.affine = make_affine(
             cfg.affine_kind,
             n_in=n_in,
@@ -252,6 +251,10 @@ def load_params(model, path) -> None:
             raise ConfigurationError(
                 f"checkpoint parameter {name!r} has shape {stored[name].shape}, "
                 f"model expects {p.data.shape}"
+            )
+        if not np.can_cast(stored[name].dtype, np.float64, "same_kind"):
+            raise ConfigurationError(
+                f"checkpoint parameter {name!r} has non-real dtype {stored[name].dtype}"
             )
         if not np.isfinite(stored[name]).all():
             raise ConfigurationError(f"checkpoint parameter {name!r} holds NaN or inf")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import TrainingAborted
+from .errors import ConfigurationError, TrainingAborted
 from .tensor import Tensor
 
 __all__ = ["Adam"]
@@ -28,6 +30,12 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
+        for name, value in (("lr", lr), ("eps", eps)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"Adam needs a finite {name} > 0, got {name}={value}")
+        for name, value in (("beta1", beta1), ("beta2", beta2)):
+            if not 0 <= value < 1:
+                raise ConfigurationError(f"Adam needs {name} in [0, 1), got {name}={value}")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

@@ -72,8 +72,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_rule")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        # A leaf is updated in place, so it copies rather than write into the caller's array.
+        self.data = (np.array if self.requires_grad else np.asarray)(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_rule = None

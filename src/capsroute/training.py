@@ -70,14 +70,16 @@ class ExperimentRecord:
     metrics: dict[str, MetricsReport] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     best_epoch: int = 0
+    data_sha256: str | None = None  # of the data file a run trained on; None for generated data
 
     def config_text(self) -> str:
         """The ``key=value`` config block, sorted by key: ``config.txt`` and ``[config]``."""
         return "".join(f"{k}={v}\n" for k, v in sorted(self.config.items()))
 
     def to_text(self, include_timings: bool = True) -> str:
-        lines = ["[seed]", f"seed={self.seed}", "[epochs]",
-                 ",".join(f.name for f in fields(EpochStats))]
+        lines = [] if self.data_sha256 is None else ["[data]", f"sha256={self.data_sha256}"]
+        lines += ["[seed]", f"seed={self.seed}", "[epochs]",
+                  ",".join(f.name for f in fields(EpochStats))]
         lines += [e.line() for e in self.epochs]
         lines.append(f"best_epoch={self.best_epoch}")
         for split_name in sorted(self.metrics):

@@ -1,5 +1,6 @@
 """Configuration parsing, precedence rules, and the command-line surface."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -192,6 +193,17 @@ def test_cli_gen_data_writes_loadable_file(tmp_path, capsys):
     assert dataset.images.shape == (32, 1, 20, 20)
 
 
+def test_cli_train_on_a_data_file_records_its_sha256(tmp_path):
+    ecap = tmp_path / "tiny.ecap"
+    assert main(["gen-data", *tiny_args(), "--out", str(ecap)]) == 0
+    for name, data_args in (("file", ["--data", str(ecap)]), ("generated", [])):
+        argv = ["train", *tiny_args("max_epochs=1"), *data_args, "--run-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+    digest = hashlib.sha256(ecap.read_bytes()).hexdigest()
+    assert f"[data]\nsha256={digest}\n[seed]\n" in (tmp_path / "file" / "record.txt").read_text()
+    assert "[data]" not in (tmp_path / "generated" / "record.txt").read_text()
+
+
 def test_cli_train_eval_round_trip(tmp_path, capsys):
     ecap = tmp_path / "tiny.ecap"
     run_dir = tmp_path / "run"
@@ -332,9 +344,10 @@ _ZERO_SHARES = ["split_fractions=0,0,1", "split_fractions=0.9,0,0.1"]
 @pytest.mark.parametrize("with_data", [False, True], ids=["generated", "data-file"])
 @pytest.mark.parametrize(
     "bad",
-    ["lr=-0.01", "routing_iterations=0", "max_epochs=0", "split_fractions=0.5,0.5,0.5",
-     "m_minus=0.95", "lambda_reg=-1", "positive_class=2", "n_classes=3", "seed=-1",
-     "split_seed=-1", "decoder_hidden=0,5", *_ZERO_SHARES],
+    ["lr=-0.01", "routing_iterations=0", "routing_method=foo", "attention_softmax_axis=rows",
+     "max_epochs=0", "split_fractions=0.5,0.5,0.5", "m_minus=0.95", "lambda_reg=-1",
+     "positive_class=2", "n_classes=3", "seed=-1", "split_seed=-1", "decoder_hidden=0,5",
+     *_ZERO_SHARES],
 )
 def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     tmp_path, capsys, monkeypatch, bad, with_data
@@ -345,19 +358,21 @@ def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     argv = ["train", *tiny_args(bad), *data_args, "--run-dir", str(tmp_path / "run")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert bad not in _ZERO_SHARES or "split_fractions" in err
+    assert err.startswith("error:") and bad.split("=")[0] in err
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("bad", ["positive_ratio=1.5", "data_seed=-1", "n_samples=0", "n_samples=-1"])
+@pytest.mark.parametrize(
+    "bad",
+    ["positive_ratio=1.5", "data_seed=-1", "n_samples=0", "n_samples=-1", "image_size=2,32,32",
+     "width_normal=-1,9"],
+)
 def test_cli_train_rejects_a_bad_generator_value_before_generating(tmp_path, capsys, monkeypatch, bad):
     _forbid(monkeypatch, data, "generate")
     _forbid(monkeypatch, experiment, "generate")
     argv = ["train", *tiny_args(bad), "--run-dir", str(tmp_path / "run")]
     assert main(argv) == 2
-    field = bad.split("=")[0].removeprefix("data_")  # SynthConfig calls the data seed "seed"
-    assert field in capsys.readouterr().err
+    assert bad.split("=")[0] in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from capsroute.errors import TrainingAborted
+from capsroute.errors import ConfigurationError, TrainingAborted
 from capsroute.optim import Adam
 from capsroute.tensor import Tensor
 
@@ -81,6 +81,16 @@ def test_non_finite_gradient_aborts_naming_parameter():
     assert "head.bias" in str(err.value)
 
 
+def test_step_leaves_the_array_a_parameter_was_built_from_alone():
+    values = np.array([1.0, -2.0])
+    p = Tensor(values, requires_grad=True)
+    opt = Adam([("p", p)], lr=0.1)
+    (p * p).sum().backward()
+    opt.step()
+    assert_array_equal(values, [1.0, -2.0])
+    assert not np.array_equal(p.data, values)
+
+
 def test_zero_grad_clears_accumulated_gradients():
     p = param([2.0])
     opt = Adam([("p", p)], lr=0.1)
@@ -91,3 +101,12 @@ def test_zero_grad_clears_accumulated_gradients():
     assert p.grad is grad
     assert_array_equal(grad, [0.0])
 
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [("beta1", 1.0), ("beta2", 1.0), ("lr", float("nan")), ("eps", 0.0), ("lr", -0.1),
+     ("beta1", 1.5), ("beta2", -0.5), ("lr", float("inf")), ("eps", float("nan"))],
+)
+def test_adam_rejects_out_of_range_arguments(arg, value):
+    with pytest.raises(ConfigurationError, match=arg):
+        Adam([("p", param([1.0]))], **{arg: value})

@@ -493,6 +493,19 @@ def test_load_rejects_unknown_parameter(tmp_path):
     assert "rogue.weight" in str(err.value)
 
 
+def test_load_rejects_a_non_real_parameter_before_writing_any(tmp_path):
+    model = tiny_model()
+    stored = {name: p.data + 1.0 for name, p in model.parameters()}
+    names = list(stored)
+    stored[names[-1]] = stored[names[-1]].astype(np.complex128)
+    path = tmp_path / "complex.npz"
+    np.savez(path, **stored)
+    before = [p.data.copy() for _, p in model.parameters()]
+    with pytest.raises(ConfigurationError, match=f"{names[-1]}.*complex128"):
+        load_params(model, path)
+    assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.parameters()))
+
+
 def test_load_rejects_non_finite_parameter(tmp_path):
     model = tiny_model()
     stored = {name: p.data + 1.0 for name, p in model.parameters()}
