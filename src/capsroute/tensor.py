@@ -6,9 +6,11 @@ operations once in reverse topological order and *writes* each reachable
 leaf's gradient into that leaf's own ``.grad`` (a leaf is a tensor created with
 ``requires_grad=True``), so repeated calls are idempotent (bit-identical
 results) rather than accumulating. Nothing rebinds a leaf's ``.data`` or
-``.grad`` after construction. Intermediate gradients are dropped as soon as
-they have been passed on, and op outputs keep ``.grad`` at None. Leaves start
-with zero gradients, so parameters that never join a loss read back as zero.
+``.grad`` after construction, and a leaf copies the array it is built from,
+so in-place updates never reach the caller's array. Intermediate gradients
+are dropped as soon as they have been passed on, and op outputs keep
+``.grad`` at None. Leaves start with zero gradients, so parameters that never
+join a loss read back as zero.
 
 All arithmetic is performed in float64. Nothing in this module owns global
 random state; callers pass ``numpy.random.Generator`` objects where needed.

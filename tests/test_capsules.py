@@ -271,5 +271,5 @@ def test_routing_spec_validation():
 
 @pytest.mark.parametrize("method", ["dynamic", "attention"])
 def test_routing_spec_rejects_fewer_than_one_iteration(method):
-    with pytest.raises(ConfigurationError, match="iterations must be >= 1, got 0"):
+    with pytest.raises(ConfigurationError, match="routing_iterations must be >= 1, got 0"):
         RoutingSpec(method, 0)
