@@ -47,14 +47,14 @@ __all__ = [
 ]
 
 
-def squash(s: Tensor, eps: float = 1e-12) -> Tensor:
+def squash(s: Tensor) -> Tensor:
     """Shrink vectors along the last axis to length n^2 / (1 + n^2).
 
     Direction is preserved and the output norm is strictly below 1; the zero
-    vector maps to itself. Computed as s * n / (1 + n^2) with the norm guarded
-    by ``eps``.
+    vector maps to itself. Computed as s * n / (1 + n^2) with the guarded
+    ``vector_norm``.
     """
-    n = vector_norm(s, eps)
+    n = vector_norm(s)
     gain = n / (1.0 + square(n))
     return s * gain.reshape(gain.shape + (1,))
 

@@ -12,6 +12,11 @@ are dropped as soon as they have been passed on, and op outputs keep
 ``.grad`` at None. Leaves start with zero gradients, so parameters that never
 join a loss read back as zero.
 
+A backward rule maps the output's gradient to one entry per parent and
+returns ``None`` for a parent that needs no gradient, so a constant operand
+(class weights, targets, pixels) costs no gradient work. The elementwise
+binary ops share one broadcasting rule, ``_broadcast_op``.
+
 All arithmetic is performed in float64. Nothing in this module owns global
 random state; callers pass ``numpy.random.Generator`` objects where needed.
 Graph construction is not thread-safe per tensor, but independent graphs on
@@ -20,6 +25,7 @@ separate threads do not interact.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -44,6 +50,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "vector_norm",
+    "NORM_EPS",
     "tensor_sum",
     "tensor_mean",
     "reshape",
@@ -54,6 +61,9 @@ __all__ = [
 
 # Global switch consulted at op-recording time; see no_grad().
 _GRAD_ENABLED = True
+
+# vector_norm's guard, sqrt(sum(x^2) + NORM_EPS): a finite gradient at the zero vector.
+NORM_EPS = 1e-12
 
 
 @contextmanager
@@ -151,7 +161,8 @@ class Tensor:
         ``self`` must hold a single element. Each reached leaf's ``grad`` array
         is overwritten in place, not accumulated into, so running backward
         twice on the same graph yields bit-identical results. Op outputs get
-        no ``grad``.
+        no ``grad``. Each op's rule returns ``None`` for a parent that needs
+        no gradient, so the rules alone decide which parents receive one.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -165,7 +176,7 @@ class Tensor:
                 continue
             if node._backward_rule is not None:
                 for parent, pg in zip(node._parents, node._backward_rule(g)):
-                    if pg is None or not parent.requires_grad:
+                    if pg is None:
                         continue
                     held = grads.get(id(parent))
                     grads[id(parent)] = pg if held is None else held + pg
@@ -239,47 +250,43 @@ def _normalize_axis(axis: int, ndim: int, op: str) -> int:
     return ax
 
 
-# ------------------------------------------------------------------ elementwise
-def add(a, b) -> Tensor:
+def _reduced_axes(axis, ndim: int, op: str) -> tuple[int, ...]:
+    """numpy's ``axis`` argument as normalised axes: None is every axis, () none."""
+    if axis is None:
+        return tuple(range(ndim))
+    return tuple(_normalize_axis(ax, ndim, op) for ax in ((axis,) if isinstance(axis, int) else axis))
+
+
+def _broadcast_op(op: str, fwd, a, b, grad_a, grad_b) -> Tensor:
+    """``fwd(a, b)`` under numpy broadcasting; ``grad_a(g, a, b)`` and ``grad_b(g, a, b)``
+    give each input's gradient, summed back to its shape, when it needs one."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("add", a.shape, b.shape)
+    _check_broadcast(op, a.shape, b.shape)
 
     def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga = _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None
+        return ga, gb
 
-    return _from_op(a.data + b.data, (a, b), rule)
+    return _from_op(fwd(a.data, b.data), (a, b), rule)
+
+
+# ------------------------------------------------------------------ elementwise
+def add(a, b) -> Tensor:
+    return _broadcast_op("add", np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("sub", a.shape, b.shape)
-
-    def rule(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _from_op(a.data - b.data, (a, b), rule)
+    return _broadcast_op("sub", np.subtract, a, b, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("mul", a.shape, b.shape)
-
-    def rule(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _from_op(a.data * b.data, (a, b), rule)
+    return _broadcast_op("mul", np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("div", a.shape, b.shape)
-
-    def rule(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _from_op(a.data / b.data, (a, b), rule)
+    return _broadcast_op("div", np.divide, a, b, lambda g, x, y: g / y,
+                         lambda g, x, y: -g * x / (y * y))
 
 
 def scale(a, s: float) -> Tensor:
@@ -366,8 +373,8 @@ def matmul(a, b) -> Tensor:
     _check_broadcast("matmul (batch dims)", a.shape[:-2], b.shape[:-2])
 
     def rule(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _from_op(np.matmul(a.data, b.data), (a, b), rule)
@@ -401,16 +408,10 @@ def log_softmax(a, axis: int) -> Tensor:
     return _from_op(out, (a,), rule)
 
 
-def vector_norm(a, eps: float = 1e-12) -> Tensor:
-    """Euclidean norm over the last axis, guarded as sqrt(sum(x^2) + eps).
-
-    The guard keeps the gradient finite at the zero vector; eps must be
-    positive.
-    """
+def vector_norm(a) -> Tensor:
+    """Euclidean norm over the last axis, guarded as sqrt(sum(x^2) + NORM_EPS)."""
     a = _as_tensor(a)
-    if not eps > 0:
-        raise ContractError(f"vector_norm: eps must be positive, got {eps}")
-    out = np.sqrt((a.data * a.data).sum(axis=-1) + eps)
+    out = np.sqrt((a.data * a.data).sum(axis=-1) + NORM_EPS)
 
     def rule(g):
         return ((g / out)[..., None] * a.data,)
@@ -421,32 +422,19 @@ def vector_norm(a, eps: float = 1e-12) -> Tensor:
 # --------------------------------------------------------------------- reductions
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    if axis is None:
-        axes = tuple(range(a.ndim))
-    else:
-        raw = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(_normalize_axis(ax, a.ndim, "sum") for ax in raw)
-    out = a.data.sum(axis=axes if axes else None, keepdims=keepdims)
-    in_shape = a.shape
+    axes = _reduced_axes(axis, a.ndim, "sum")
 
     def rule(g):
-        if not keepdims and axes:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, in_shape),)
+        return (np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.shape),)
 
-    return _from_op(np.asarray(out, dtype=np.float64), (a,), rule)
+    return _from_op(np.asarray(a.data.sum(axis=axes, keepdims=keepdims)), (a,), rule)
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    if axis is None:
-        count = a.size
-    else:
-        raw = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for ax in raw:
-            count *= a.shape[_normalize_axis(ax, a.ndim, "mean")]
-    return scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    axes = _reduced_axes(axis, a.ndim, "mean")
+    count = math.prod(a.shape[ax] for ax in axes)
+    return scale(tensor_sum(a, axis=axes, keepdims=keepdims), 1.0 / count)
 
 
 # ------------------------------------------------------------------ shape movement
