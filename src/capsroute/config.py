@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
+from pathlib import Path
 from typing import Any, Callable
 
 from .capsules import RoutingSpec
@@ -121,17 +122,20 @@ SCHEMA: dict[str, tuple[Any, Callable[[str], Any], str]] = {
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read raw key=value pairs; values stay as strings until resolve()."""
+    """Read raw key=value pairs from UTF-8 text; values stay as strings until resolve()."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"{path} is not UTF-8 text (byte offset {err.start})") from None
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
-            key, value = stripped.split("=", 1)
-            raw[key.strip()] = value.strip()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
+        key, value = stripped.split("=", 1)
+        raw[key.strip()] = value.strip()
     return raw
 
 

@@ -173,8 +173,14 @@ def sweep_lambda(
     """Retrain on fixed data for each auxiliary multiplier in ``grid``.
 
     Data is generated once so every run sees identical splits; only
-    ``lambda_reg`` varies.
+    ``lambda_reg`` varies. Each run is scored on the test split, so a zero
+    test share is rejected before any data work.
     """
+    if cfg["split_fractions"][2] == 0:
+        raise ConfigurationError(
+            f"sweep-lambda scores the test split; split_fractions needs a non-zero test share, "
+            f"got {tuple(cfg['split_fractions'])}"
+        )
     splits = prepare_splits(cfg)
     results = []
     for lam in grid:

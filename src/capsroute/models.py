@@ -12,6 +12,7 @@ spatial arithmetic, reporting the computed shape chain when it breaks.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -241,8 +242,11 @@ def save_params(model, path) -> None:
 
 def load_params(model, path) -> None:
     """Copy a checkpoint into the model, which is left untouched if any check fails."""
-    with np.load(path) as archive:
-        stored = dict(archive)
+    try:
+        with np.load(path) as archive:
+            stored = dict(archive)
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as err:
+        raise ConfigurationError(f"{path} is not a readable checkpoint: {err}") from None
     params = model.parameters()
     for name, p in params:
         if name not in stored:

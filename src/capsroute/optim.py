@@ -37,6 +37,10 @@ class Adam:
             if not 0 <= value < 1:
                 raise ConfigurationError(f"Adam needs {name} in [0, 1), got {name}={value}")
         self.params = list(params)
+        for name, p in self.params:
+            if p.grad is None:
+                raise ConfigurationError(f"Adam parameter {name!r} has no gradient array "
+                                         "(built without requires_grad or under no_grad)")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

@@ -2,6 +2,8 @@
 
 import hashlib
 import re
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +313,77 @@ def test_cli_missing_file_exits_with_code_two(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "missing.file" in err
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    ecap, run_dir = root / "tiny.ecap", root / "run"
+    assert main(["gen-data", *tiny_args(), "--out", str(ecap)]) == 0
+    assert main(["train", *tiny_args("max_epochs=1"), "--data", str(ecap), "--run-dir", str(run_dir)]) == 0
+    return ecap, run_dir
+
+
+def _zero_inside_first_member(blob: bytes) -> bytes:
+    # A zip local header is 30 bytes plus the member's name and extra field;
+    # zeroing past the .npy header leaves the member readable but its CRC-32 wrong.
+    name_len, extra_len = struct.unpack("<HH", blob[26:30])
+    start = 30 + name_len + extra_len + 200
+    return blob[:start] + bytes(60) + blob[start + 60:]
+
+
+_CHECKPOINT_DAMAGE = {
+    "empty": lambda blob: b"",
+    "truncated": lambda blob: blob[:100],
+    "garbage": lambda blob: b"garbage",
+    "zeroed-member": _zero_inside_first_member,
+}
+
+
+@pytest.mark.parametrize("damage", list(_CHECKPOINT_DAMAGE))
+def test_cli_eval_rejects_a_damaged_checkpoint(tmp_path, capsys, trained_run, damage):
+    ecap, trained = trained_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained, run_dir)
+    checkpoint = run_dir / "model.npz"
+    checkpoint.write_bytes(_CHECKPOINT_DAMAGE[damage](checkpoint.read_bytes()))
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(run_dir), "--data", str(ecap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "model.npz" in captured.err
+
+
+@pytest.mark.parametrize("command", ["train-config", "eval-run-config"])
+def test_cli_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys, monkeypatch, command):
+    for owner in (data, experiment):
+        _forbid(monkeypatch, owner, "generate", "load")
+    bad = b"\xff\xfe" + "lr=0.01\n".encode("utf-16-le")
+    if command == "train-config":
+        path = tmp_path / "exp.cfg"
+        argv = ["train", "--config", str(path), "--run-dir", str(tmp_path / "run")]
+    else:
+        path = tmp_path / "old-run" / "config.txt"
+        path.parent.mkdir()
+        argv = ["eval", "--run-dir", str(path.parent), "--data", str(tmp_path / "never-read.ecap")]
+    path.write_bytes(bad)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "byte offset 0" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["pooled", "rotation-shift"])
+def test_cli_sweep_lambda_rejects_a_zero_test_share_before_any_data_work(
+    tmp_path, capsys, monkeypatch, shifted
+):
+    _forbid(monkeypatch, experiment, "generate", "train")
+    out = tmp_path / "sweep.csv"
+    settings = tiny_args("split_fractions=0.8,0.2,0", f"rotation_shift_test={str(shifted).lower()}")
+    assert main(["sweep-lambda", *settings, "--grid", "0.05", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "split_fractions" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

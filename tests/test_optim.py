@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from capsroute.errors import ConfigurationError, TrainingAborted
 from capsroute.optim import Adam
-from capsroute.tensor import Tensor
+from capsroute.tensor import Tensor, no_grad
 
 
 def param(values) -> Tensor:
@@ -110,3 +110,11 @@ def test_zero_grad_clears_accumulated_gradients():
 def test_adam_rejects_out_of_range_arguments(arg, value):
     with pytest.raises(ConfigurationError, match=arg):
         Adam([("p", param([1.0]))], **{arg: value})
+
+
+def test_rejects_a_parameter_without_a_gradient_array():
+    with no_grad():
+        frozen = param([1.0, 2.0])
+    assert frozen.grad is None
+    with pytest.raises(ConfigurationError, match="'frozen'"):
+        Adam([("live", param([0.0])), ("frozen", frozen)])

@@ -506,6 +506,24 @@ def test_load_rejects_a_non_real_parameter_before_writing_any(tmp_path):
     assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.parameters()))
 
 
+_UNREADABLE = {"empty": b"", "garbage": b"garbage", "truncated-zip": b"PK\x03\x04" + bytes(60)}
+
+
+@pytest.mark.parametrize("content", [*_UNREADABLE, "plain-npy"])
+def test_load_rejects_an_unreadable_checkpoint_before_writing_any(tmp_path, content):
+    model = tiny_model()
+    path = tmp_path / "model.npz"
+    if content in _UNREADABLE:
+        path.write_bytes(_UNREADABLE[content])
+    else:
+        with open(path, "wb") as fh:  # np.save(path) would append ".npy" to the name
+            np.save(fh, np.zeros(3))
+    before = [p.data.copy() for _, p in model.parameters()]
+    with pytest.raises(ConfigurationError, match="model.npz"):
+        load_params(model, path)
+    assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.parameters()))
+
+
 def test_load_rejects_non_finite_parameter(tmp_path):
     model = tiny_model()
     stored = {name: p.data + 1.0 for name, p in model.parameters()}
