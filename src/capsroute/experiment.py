@@ -102,6 +102,11 @@ class _ModelSpec:
         return build_model(self.config, self.image_size, self.margin, weighted, seed=self.seed)
 
 
+def _checked(cfg: dict[str, Any]):
+    """The model spec and ``TrainConfig`` of ``cfg``; building them checks every range."""
+    return _ModelSpec.of(cfg), cfg_mod.train_config_from(cfg)
+
+
 def build_configured_model(cfg: dict[str, Any], labels: np.ndarray):
     """Build the configured model, weighting its loss by the class mix of ``labels``."""
     return _ModelSpec.of(cfg).build(labels)
@@ -121,7 +126,7 @@ def run_experiment(
     it bit for bit (timings aside). With ``data_path`` it also holds the
     file's SHA-256, since the snapshot's generator settings did not make it.
     """
-    spec, train_config = _ModelSpec.of(cfg), cfg_mod.train_config_from(cfg)
+    spec, train_config = _checked(cfg)
     train_set, val_set, test_set = splits if splits is not None else prepare_splits(cfg, data_path)
     model = spec.build(train_set.labels)
     record = train(model, train_set, val_set, train_config, cfg_mod.config_snapshot(cfg))
@@ -173,22 +178,19 @@ def sweep_lambda(
     """Retrain on fixed data for each auxiliary multiplier in ``grid``.
 
     Data is generated once so every run sees identical splits; only
-    ``lambda_reg`` varies. Each run is scored on the test split, so a zero
-    test share is rejected before any data work.
+    ``lambda_reg`` varies. Each run's values, and a zero test share (each
+    run is scored on the test split), are rejected before any data work.
     """
     if cfg["split_fractions"][2] == 0:
         raise ConfigurationError(
             f"sweep-lambda scores the test split; split_fractions needs a non-zero test share, "
             f"got {tuple(cfg['split_fractions'])}"
         )
+    run_cfgs = [{**cfg, "lambda_reg": float(lam)} for lam in grid]
+    for run_cfg in run_cfgs:
+        _checked(run_cfg)
     splits = prepare_splits(cfg)
-    results = []
-    for lam in grid:
-        run_cfg = dict(cfg)
-        run_cfg["lambda_reg"] = float(lam)
-        _, record = run_experiment(run_cfg, splits=splits)
-        results.append((float(lam), record))
-    return results
+    return [(run_cfg["lambda_reg"], run_experiment(run_cfg, splits=splits)[1]) for run_cfg in run_cfgs]
 
 
 def lambda_table(results: list[tuple[float, ExperimentRecord]], split_name: str = "test") -> str:

@@ -65,6 +65,10 @@ _GRAD_ENABLED = True
 # vector_norm's guard, sqrt(sum(x^2) + NORM_EPS): a finite gradient at the zero vector.
 NORM_EPS = 1e-12
 
+# conv2d's patch-buffer budget, about one core's L2 cache: a block's gather is still
+# in cache when its GEMM reads it.
+_PATCH_BYTES = 2 << 20
+
 
 @contextmanager
 def no_grad():
@@ -469,6 +473,15 @@ def transpose(a, axes) -> Tensor:
 def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of [B, C_in, H, W] with kernels [C_out, C_in, k, k].
 
+    The patch matrix is gathered one block of images at a time into one reused
+    buffer of at most ``_PATCH_BYTES`` (one image if a single image's patches
+    are larger), and each block's GEMM reads it while it is still in cache. So
+    the op's extra memory is that buffer, not the whole batch's patch matrix.
+
+    The kernel gradient gathers each block again, unless it is still in the
+    buffer, and adds each image's ``cols_b.T @ g_b`` into one zeroed
+    accumulator in batch order. That is the order of a sum over the batch axis
+    of the per-image products, so the result does not depend on the block size.
     The input gradient, built only when ``x`` needs one, adds ``g @ w[:, :, i, j]``
     per kernel offset (i, j) in lexicographic order, as a patch scatter would.
     """
@@ -490,9 +503,25 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz, ho * wo, -1)
-    flat = w.data.reshape(c_out, c_in * k * k)
-    out = np.matmul(cols, flat.T)  # [B, ho*wo, C_out]
+    patches = windows.transpose(0, 2, 3, 1, 4, 5)  # [B, ho, wo, C_in, k, k]
+    n_rows, n_cols = ho * wo, c_in * k * k
+    per_block = min(bsz, max(1, _PATCH_BYTES // (n_rows * n_cols * 8)))
+    blocks = [slice(b, min(b + per_block, bsz)) for b in range(0, bsz, per_block)]
+    cols_buf = np.empty((per_block, ho, wo, c_in, k, k))
+    held = None  # the block whose patches are in cols_buf
+
+    def gather(blk):
+        nonlocal held
+        cols = cols_buf[: blk.stop - blk.start]
+        if held != blk:
+            np.copyto(cols, patches[blk])
+            held = blk
+        return cols.reshape(-1, n_rows, n_cols)
+
+    flat = w.data.reshape(c_out, n_cols)
+    out = np.empty((bsz, n_rows, c_out))
+    for blk in blocks:
+        np.matmul(gather(blk), flat.T, out=out[blk])
 
     def rule(g):
         g_rows = g.reshape(bsz, c_out, ho * wo).transpose(0, 2, 1)  # [B, ho*wo, C_out]
@@ -512,7 +541,11 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
                 buf[:, i : i + s * ho : s, j : j + s * wo : s] += term.reshape(bsz, ho, wo, c_in)
             gx = np.ascontiguousarray(buf.transpose(0, 3, 1, 2))[:, :, p : p + h, p : p + wd]
         if w.requires_grad:
-            gw = np.matmul(np.swapaxes(cols, -1, -2), g_rows).sum(axis=0).T.reshape(w.shape)
+            acc, prod = np.zeros((n_cols, c_out)), np.empty((n_cols, c_out))
+            for blk in blocks:
+                for cols_b, g_b in zip(gather(blk), g_rows[blk]):
+                    acc += np.matmul(cols_b.T, g_b, out=prod)
+            gw = acc.T.reshape(w.shape)
         return gx, gw
 
     return _from_op(out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo), (x, w), rule)

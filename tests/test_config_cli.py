@@ -386,6 +386,18 @@ def test_cli_sweep_lambda_rejects_a_zero_test_share_before_any_data_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["lr=-0.01", "routing_iterations=0", "max_epochs=0", "m_minus=0.95"])
+def test_cli_sweep_lambda_rejects_out_of_range_values_before_any_data_work(
+    tmp_path, capsys, monkeypatch, bad
+):
+    _forbid(monkeypatch, experiment, "generate", "train")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-lambda", *tiny_args(bad), "--grid", "0.05", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and bad.split("=")[0] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

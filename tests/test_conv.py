@@ -1,5 +1,7 @@
 """Convolution and pooling: loop oracles, hand values, finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -175,6 +177,35 @@ def test_conv_with_one_output_position_is_bit_identical(bsz, size, k, stride):
     x = rng.normal(size=(bsz, 4, size, size))
     w = rng.normal(size=(6, 4, k, k))
     assert_conv_matches_composed_oracle(x, w, stride, 0, rng)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_spanning_several_patch_blocks_is_bit_identical(stride, padding):
+    # Sized so that one patch block holds 2 to 4 of the 5 images, the last block
+    # partly: the kernel gradient must not depend on where the blocks split.
+    bsz, cin, size, k = 5, 32, 18 if stride == 2 else 13, 9
+    ho = (size + 2 * padding - k) // stride + 1
+    per_block = T._PATCH_BYTES // (ho * ho * cin * k * k * 8)
+    assert 1 < per_block < bsz and bsz % per_block
+    rng = np.random.default_rng(40 + 10 * stride + padding)
+    x = rng.normal(size=(bsz, cin, size, size))
+    w = rng.normal(size=(8, cin, k, k))
+    assert_conv_matches_composed_oracle(x, w, stride, padding, rng)
+
+
+def test_conv_patch_memory_is_bounded_by_the_block_buffer():
+    rng = np.random.default_rng(6)
+    x, w = rng.normal(size=(64, 3, 32, 32)), rng.normal(size=(32, 3, 9, 9))
+    full_patches = 64 * 24 * 24 * 3 * 9 * 9 * 8  # the whole batch's patch matrix, 68 MiB
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            T.conv2d(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_patches / 4
 
 
 def test_maxpool_matches_loop_oracle():
