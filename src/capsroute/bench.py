@@ -2,7 +2,7 @@
 
 Timings run under ``no_grad`` on shared random vote tensors so both methods
 see identical inputs and neither pays graph-recording costs. Each method is
-timed through the ``make_routing`` layer a model runs. Dynamic routing gets one
+timed through the ``Routing`` layer a model runs. Dynamic routing gets one
 row per shape and r; the single-pass attention method gets one row per shape,
 with iterations 1.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capsules import RoutingSpec, make_routing
+from .capsules import Routing, RoutingSpec
 from .errors import ConfigurationError
 from .tensor import Tensor, no_grad
 
@@ -63,7 +63,7 @@ def bench_routing(shapes=DEFAULT_SHAPES, r_values=(1, 2, 3), repeats: int = 20) 
         for n_in, n_out, d_out in shapes:
             votes = Tensor(rng.normal(0.0, 0.5, size=(8, n_in, n_out, d_out)))
             for spec in specs:
-                router = make_routing(spec, d_out)
+                router = Routing(spec, d_out)
                 med = _time_call(lambda: router(votes), repeats)
                 rows.append(BenchRow(spec.method, n_in, n_out, d_out, spec.iterations, med))
     return rows

@@ -6,6 +6,12 @@ tensors [B, N_in, N_out, D_out]: one predicted output vector per
 (input capsule, output capsule) pair. Routing turns votes into output
 capsules, either iteratively (dynamic agreement) or in a single attention
 pass; the ``Routing`` layer runs the one its ``RoutingSpec`` names.
+
+Both routing algorithms work on the transposed view [B, N_out, N_in, D_out]
+of the votes, with the input-capsule axis next to the vector axis, so every
+sum over input capsules or vector components is one batched matrix product.
+``SharedAffine`` computes its votes in the matching layout, [N_in, B, ...],
+and returns them as a [B, N_in, N_out, D_out] view, so no layout is copied.
 """
 
 from __future__ import annotations
@@ -47,14 +53,25 @@ __all__ = [
 ]
 
 
+# Past this norm n^2 / (1 + n^2) rounds to 1, well before (1 + n^2)^2 overflows at ~1e77.
+_SQUASH_RESCALE = 2.0**64
+
+
 def squash(s: Tensor) -> Tensor:
     """Shrink vectors along the last axis to length n^2 / (1 + n^2).
 
     Direction is preserved and the output norm is strictly below 1; the zero
     vector maps to itself. Computed as s * n / (1 + n^2) with the guarded
-    ``vector_norm``.
+    ``vector_norm``. A vector with n past ``_SQUASH_RESCALE`` is first scaled
+    by an exact power of two to n ~ 2^32: its squash, the unit direction, is
+    the same in floating point, and n^2 no longer overflows in the gain or
+    its gradient.
     """
     n = vector_norm(s)
+    big = n.data > _SQUASH_RESCALE
+    if big.any():
+        s = s * np.ldexp(1.0, np.where(big, 32 - np.frexp(n.data)[1], 0))[..., None]
+        n = vector_norm(s)
     gain = n / (1.0 + square(n))
     return s * gain.reshape(gain.shape + (1,))
 
@@ -148,8 +165,8 @@ class SharedAffine:
             raise DimensionError(
                 f"shared affine built for {self.weight.shape[:2]} capsules, got {(n, d)}"
             )
-        votes = matmul(u.reshape((bsz, n, 1, d)), self.weight)  # [B, N, 1, J*D]
-        return votes.reshape((bsz, n, self.n_out, self.d_out))
+        votes = matmul(u.transpose((1, 0, 2)), self.weight)  # [N, B, J*D]
+        return votes.reshape((n, bsz, self.n_out, self.d_out)).transpose((1, 0, 2, 3))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight)]
@@ -262,8 +279,10 @@ class RoutingSpec:
 class RoutingState:
     """Per-round coupling coefficients and squashed outputs, one entry per round.
 
-    The arrays are the routing graph's own ``.data``, not copies; no op writes
-    to them in place, and neither may a reader: the state is read-only.
+    The arrays are views of the routing graph's own ``.data``, not copies: the
+    coefficients are the [B, N_in, N_out] transpose of the graph's
+    [B, N_out, N_in] arrays. No op writes to them in place, and neither may a
+    reader: the state is read-only.
     """
 
     coefficients: list[np.ndarray] = field(default_factory=list)  # [B, N_in, N_out]
@@ -284,20 +303,25 @@ def dynamic_routing(votes: Tensor, iterations: int) -> tuple[CapsuleBank, Routin
     by the dot product between votes and outputs. The last round's agreement
     would feed nothing, so r rounds make r - 1 updates. Gradients flow through
     every iteration; nothing is detached.
+
+    The votes are read as the view u = [B, N_out, N_in, D_out] and the logits
+    kept as [B, N_out, N_in], so the softmax runs over axis 1, the weighted
+    vote sum is ``c @ u`` with c as [B, N_out, 1, N_in], and the agreement is
+    ``u @ v`` with v as [B, N_out, D_out, 1].
     """
     if iterations < 1:
         raise ConfigurationError(f"dynamic routing needs iterations >= 1, got {iterations}")
     bsz, n_in, n_out, d_out = _check_votes(votes)
-    logits = Tensor(np.zeros((bsz, n_in, n_out)))
+    u = votes.transpose((0, 2, 1, 3))
+    logits = Tensor(np.zeros((bsz, n_out, n_in)))
     state = RoutingState()
     for it in range(iterations):
-        coupling = softmax(logits, axis=2)
-        s = (coupling.reshape((bsz, n_in, n_out, 1)) * votes).sum(axis=1)
-        v = squash(s)
-        state.coefficients.append(coupling.data)
+        coupling = softmax(logits, axis=1)
+        v = squash(matmul(coupling.reshape((bsz, n_out, 1, n_in)), u).reshape((bsz, n_out, d_out)))
+        state.coefficients.append(coupling.data.transpose((0, 2, 1)))
         state.outputs.append(v.data)
         if it + 1 < iterations:
-            logits = logits + (votes * v.reshape((bsz, 1, n_out, d_out))).sum(axis=-1)
+            logits = logits + matmul(u, v.reshape((bsz, n_out, d_out, 1))).reshape((bsz, n_out, n_in))
     return CapsuleBank(v), state
 
 
@@ -315,18 +339,23 @@ def attention_routing(
     scaled by 1/sqrt(D_out), then normalized by softmax over the chosen axis
     (input capsules by default). Outputs are squashed attention-weighted vote
     sums. No iteration takes place.
+
+    As in ``dynamic_routing``, the votes are read as the view
+    u = [B, N_out, N_in, D_out]: the logits are ``u @ weight`` as
+    [B, N_out, N_in], softmaxed over axis 2 for input capsules or axis 1 for
+    output capsules, and the vote sum is ``attn @ u`` with attn as
+    [B, N_out, 1, N_in].
     """
     bsz, n_in, n_out, d_out = _check_votes(votes)
     if weight.shape != (d_out, 1):
         raise DimensionError(f"attention projection expects weight [{d_out}, 1], got {weight.shape}")
-    logits = matmul(votes, weight).reshape((bsz, n_in, n_out)) + bias
+    u = votes.transpose((0, 2, 1, 3))
+    logits = matmul(u, weight).reshape((bsz, n_out, n_in)) + bias
     if scale_by_sqrt_d:
         logits = logits * (1.0 / np.sqrt(d_out))
-    axis = 1 if softmax_axis == "input_caps" else 2
-    attn = softmax(logits, axis=axis)
-    s = (attn.reshape((bsz, n_in, n_out, 1)) * votes).sum(axis=1)
-    v = squash(s)
-    return CapsuleBank(v), RoutingState([attn.data], [v.data])
+    attn = softmax(logits, axis=2 if softmax_axis == "input_caps" else 1)
+    v = squash(matmul(attn.reshape((bsz, n_out, 1, n_in)), u).reshape((bsz, n_out, d_out)))
+    return CapsuleBank(v), RoutingState([attn.data.transpose((0, 2, 1))], [v.data])
 
 
 class Routing:
@@ -353,7 +382,7 @@ class Routing:
         return [("weight", self.weight), ("bias", self.bias)] if self.spec.method == "attention" else []
 
 
-make_routing = Routing
+make_routing = Routing  # the name capsbench/tracing.py imports
 
 
 # ------------------------------------------------------------------- read-outs

@@ -191,19 +191,30 @@ def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradChec
 
     bank = capsules.CapsuleBank(leaf(2, 12, 4), grid=(2, 3), caps_per_cell=2)
     shared = capsules.SharedAffine(12, 4, 3, 5, rng)
-    op("layer.shared_affine", shared.weight, lambda: T.square(shared(bank)).sum(), tol=1e-5)
+    # A fixed weight in the votes' [B, N_in, N_out, D_out] contract: votes in
+    # any other layout fail to broadcast.
+    vmask = np.linspace(-1.0, 1.0, 2 * 12 * 3 * 5).reshape(2, 12, 3, 5)
+    op("layer.shared_affine", shared.weight, lambda: (T.square(shared(bank)) * vmask).sum(), tol=1e-5)
+    op("layer.shared_affine_input", bank.activations,
+       lambda: (T.square(shared(bank)) * vmask).sum(), tol=1e-5)
     convaff = capsules.ConvAffine(2, 4, 3, 5, rng)
     op("layer.conv_affine", convaff.weight, lambda: T.square(convaff(bank)).sum(), tol=1e-5)
 
+    # B, N_in, N_out and D_out all differ, so routing over a swapped axis fails on shape.
     votes = leaf(2, 6, 3, 4)
-    op("layer.dynamic_routing", votes,
-       lambda: T.square(capsules.dynamic_routing(votes, 3)[0].activations).sum(), tol=1e-5)
+    for r, suffix in ((3, ""), (1, "_r1"), (2, "_r2")):
+        op(f"layer.dynamic_routing{suffix}", votes,
+           lambda r=r: T.square(capsules.dynamic_routing(votes, r)[0].activations).sum(), tol=1e-5)
     att = capsules.Routing(capsules.RoutingSpec(), 4)
     att.weight.data[...] = rng.normal(0.0, 0.5, size=(4, 1))
     op("layer.attention_routing", votes,
        lambda: T.square(att(votes)[0].activations).sum(), tol=1e-5)
     op("layer.attention_projection", att.weight,
        lambda: T.square(att(votes)[0].activations).sum(), tol=1e-5)
+    att_out = capsules.Routing(capsules.RoutingSpec(softmax_axis="output_caps", scale_by_sqrt_d=True), 4)
+    att_out.weight.data[...] = att.weight.data
+    op("layer.attention_routing_output_caps_scaled", votes,
+       lambda: T.square(att_out(votes)[0].activations).sum(), tol=1e-5)
 
     dec = capsules.Decoder(8, 12, hidden=(6, 7), rng=rng)
     dvec = leaf(3, 2, 4)

@@ -22,12 +22,12 @@ from .capsules import (
     Decoder,
     PrimaryCapsules,
     RegressionHead,
+    Routing,
     RoutingSpec,
     _Linear,
     classify,
     conv_params,
     make_affine,
-    make_routing,
 )
 from .errors import ConfigurationError
 from .losses import (
@@ -120,7 +120,7 @@ class CapsuleClassifier:
             caps_per_cell=self.primary.caps_per_cell,
             rng=rng,
         )
-        self.routing = make_routing(cfg.routing, cfg.d_digit)
+        self.routing = Routing(cfg.routing, cfg.d_digit)
         self.decoder = Decoder(cfg.n_classes * cfg.d_digit, c_img * h * w, cfg.decoder_hidden, rng)
         self.reg_head = RegressionHead(cfg.n_classes * cfg.d_digit, rng)
 

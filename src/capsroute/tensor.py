@@ -413,9 +413,21 @@ def log_softmax(a, axis: int) -> Tensor:
 
 
 def vector_norm(a) -> Tensor:
-    """Euclidean norm over the last axis, guarded as sqrt(sum(x^2) + NORM_EPS)."""
+    """Euclidean norm over the last axis, guarded as sqrt(sum(x^2) + NORM_EPS).
+
+    Where the sum of squares overflows (norms past ~1e154), that vector is
+    divided by its largest magnitude m first: m * sqrt(sum((x/m)^2) + NORM_EPS/m^2).
+    Other vectors use the plain formula.
+    """
     a = _as_tensor(a)
-    out = np.sqrt((a.data * a.data).sum(axis=-1) + NORM_EPS)
+    x = a.data
+    with np.errstate(over="ignore"):
+        out = np.sqrt((x * x).sum(axis=-1) + NORM_EPS)
+    big = np.isinf(out)
+    if big.any():
+        out, rows = np.array(out), x[big]
+        m = np.abs(rows).max(axis=-1)
+        out[big] = m * np.sqrt(np.square(rows / m[:, None]).sum(axis=-1) + NORM_EPS / m / m)
 
     def rule(g):
         return ((g / out)[..., None] * a.data,)

@@ -72,6 +72,21 @@ def test_squash_gradient_matches_finite_differences():
     assert relative_error(x.grad, fd_gradient(run, x)) < 1e-5
 
 
+@pytest.mark.parametrize("s", [[1e160, 0.0], [3e299, -4e299], [-2e20, 1e19]])
+def test_squash_is_the_unit_direction_with_its_gradient_past_square_overflow(s):
+    # n^2 overflows past ~1e154; the length n^2 / (1 + n^2) rounds to 1, and the
+    # Jacobian is (I - u u^T) / n for the unit direction u, to relative order 1/n^2.
+    x = leaf(s)
+    out = squash(x)
+    n = np.hypot(*s)
+    u = np.asarray(s) / n
+    assert_allclose(out.data, u, rtol=1e-15, atol=1e-15)
+    w = np.array([1.0, 2.0])
+    (out * w).sum().backward()
+    want = (w - u * (u @ w)) / n
+    assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12 / n)
+
+
 # ----------------------------------------------------------- primary capsules
 
 

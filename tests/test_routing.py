@@ -5,12 +5,16 @@ plain Python loops and math, independent of the vectorized library code.
 """
 
 import math
+import statistics
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from capsroute.capsules import (
+    Routing,
+    RoutingSpec,
     attention_routing,
     dynamic_routing,
     squash,
@@ -183,12 +187,29 @@ def test_routing_rejects_empty_votes(shape):
         attention_routing(votes, leaf(np.zeros((shape[3], 1))), leaf(np.zeros(())))
 
 
+def _graph_arrays(root: Tensor) -> list[np.ndarray]:
+    seen, stack, found = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            found.append(node.data)
+            stack.extend(node._parents)
+    return found
+
+
 def test_routing_state_holds_the_graph_arrays_not_copies():
     votes = leaf(np.random.default_rng(13).normal(size=(2, 4, 3, 5)))
-    bank, state = dynamic_routing(votes, iterations=2)
-    assert state.outputs[-1] is bank.activations.data
-    bank, state = attention_routing(votes, leaf(np.zeros((5, 1))), leaf(np.zeros(())))
-    assert state.outputs[0] is bank.activations.data
+    for rounds, (bank, state) in (
+        (2, dynamic_routing(votes, iterations=2)),
+        (1, attention_routing(votes, leaf(np.zeros((5, 1))), leaf(np.zeros(())))),
+    ):
+        assert state.outputs[-1] is bank.activations.data
+        assert len(state.coefficients) == rounds
+        arrays = _graph_arrays(bank.activations)
+        for c in state.coefficients:
+            assert c.shape == (2, 4, 3)
+            assert any(np.shares_memory(c, a) for a in arrays)
 
 
 def test_dynamic_gradients_flow_through_iterations():
@@ -282,6 +303,27 @@ def test_attention_gradcheck_including_projection():
     run().backward()
     for p in (votes, w, b):
         assert relative_error(p.grad, fd_gradient(run, p)) < 1e-5
+
+
+@pytest.mark.parametrize("n_in", [128, 512, 1152])
+def test_attention_costs_less_than_three_dynamic_rounds_with_gradients_on(n_in):
+    # The paper's case for attention: one pass is cheaper than routing by
+    # agreement. Dynamic r=1 is cheaper still, so the claim is against r=3.
+    rng = np.random.default_rng(15)
+    votes = leaf(rng.normal(0.0, 0.5, size=(8, n_in, 2, 16)))
+    upstream = rng.normal(size=(8, 2, 16))
+    attention = Routing(RoutingSpec("attention"), 16)
+    attention.weight.data[...] = rng.normal(0.0, 0.5, size=(16, 1))
+    routers = {"attention": attention, "dynamic_r3": Routing(RoutingSpec("dynamic", 3), 16)}
+    cpu = {name: [] for name in routers}
+    for round_idx in range(16):
+        for name in sorted(routers, reverse=bool(round_idx % 2)):
+            t0 = time.process_time()
+            (routers[name](votes)[0].activations * upstream).sum().backward()
+            if round_idx:  # round 0 warms up
+                cpu[name].append(time.process_time() - t0)
+    medians = {name: statistics.median(times) for name, times in cpu.items()}
+    assert medians["attention"] < medians["dynamic_r3"], medians
 
 
 def test_bench_routing_rejects_fewer_than_one_repeat():

@@ -73,6 +73,16 @@ def test_vector_norm_zero_vector_guarded():
     assert np.all(np.isfinite(x.grad))
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_vector_norm_and_gradient_finite_past_square_overflow(scale):
+    x = leaf(np.array([[3.0, -4.0], [0.0, 0.0], [3.0, 4.0]]) * [[scale], [1.0], [1e3]])
+    out = T.vector_norm(x)
+    assert_allclose(out.data, [5.0 * scale, np.sqrt(1e-12), 5e3], rtol=1e-15)
+    out.sum().backward()
+    assert_allclose(x.grad, [[0.6, -0.8], [0.0, 0.0], [0.6, 0.8]], rtol=1e-15, atol=1e-15)
+    assert T.vector_norm(leaf([scale, 0.0])).item() == scale
+
+
 def test_sigmoid_matches_closed_form():
     x = np.linspace(-30, 30, 13)
     assert_allclose(T.sigmoid(leaf(x)).data, 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
