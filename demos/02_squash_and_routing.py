@@ -44,8 +44,7 @@ print(f"output capsule norms: {np.array2string(np.linalg.norm(bank.activations.d
 print()
 print("== attention routing (single pass) ==")
 weight = Tensor(rng.normal(0.0, 0.3, size=(3, 1)))
-bias = Tensor(np.zeros(()))
-bank_a, state_a = attention_routing(Tensor(votes), weight, bias)
+bank_a, state_a = attention_routing(Tensor(votes), weight)
 c = state_a.coefficients[-1]
 print(f"one coefficient tensor, shape {c.shape}; no iteration loop.")
 print(f"softmax runs over the input-capsule axis: column sums = "

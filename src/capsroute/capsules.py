@@ -253,6 +253,9 @@ def make_affine(
 
 
 # ---------------------------------------------------------------------- routing
+_SOFTMAX_AXES = {"input_caps": 2, "output_caps": 1}  # softmax axis of the [B, N_out, N_in] logits
+
+
 @dataclass
 class RoutingSpec:
     """How votes become output capsules.
@@ -271,7 +274,7 @@ class RoutingSpec:
             raise ConfigurationError(f"unknown routing_method: {self.method!r}")
         if self.iterations < 1:
             raise ConfigurationError(f"routing_iterations must be >= 1, got {self.iterations}")
-        if self.softmax_axis not in ("input_caps", "output_caps"):
+        if self.softmax_axis not in _SOFTMAX_AXES:
             raise ConfigurationError(f"unknown attention_softmax_axis: {self.softmax_axis!r}")
 
 
@@ -328,17 +331,17 @@ def dynamic_routing(votes: Tensor, iterations: int) -> tuple[CapsuleBank, Routin
 def attention_routing(
     votes: Tensor,
     weight: Tensor,
-    bias: Tensor,
+    *,
     softmax_axis: str = "input_caps",
     scale_by_sqrt_d: bool = False,
 ) -> tuple[CapsuleBank, RoutingState]:
     """Single-pass routing: votes score themselves through a shared projection.
 
     Each vote is projected to a scalar logit by one weight vector of length
-    D_out plus a bias (the same projection for every capsule pair), optionally
-    scaled by 1/sqrt(D_out), then normalized by softmax over the chosen axis
-    (input capsules by default). Outputs are squashed attention-weighted vote
-    sums. No iteration takes place.
+    D_out, the same for every capsule pair (a shared bias would cancel in
+    either softmax), optionally scaled by 1/sqrt(D_out), then normalized by
+    softmax over the chosen axis (input capsules by default). Outputs are
+    squashed attention-weighted vote sums. No iteration takes place.
 
     As in ``dynamic_routing``, the votes are read as the view
     u = [B, N_out, N_in, D_out]: the logits are ``u @ weight`` as
@@ -349,11 +352,13 @@ def attention_routing(
     bsz, n_in, n_out, d_out = _check_votes(votes)
     if weight.shape != (d_out, 1):
         raise DimensionError(f"attention projection expects weight [{d_out}, 1], got {weight.shape}")
+    if softmax_axis not in _SOFTMAX_AXES:
+        raise ConfigurationError(f"unknown attention softmax_axis: {softmax_axis!r}")
     u = votes.transpose((0, 2, 1, 3))
-    logits = matmul(u, weight).reshape((bsz, n_out, n_in)) + bias
+    logits = matmul(u, weight).reshape((bsz, n_out, n_in))
     if scale_by_sqrt_d:
         logits = logits * (1.0 / np.sqrt(d_out))
-    attn = softmax(logits, axis=2 if softmax_axis == "input_caps" else 1)
+    attn = softmax(logits, axis=_SOFTMAX_AXES[softmax_axis])
     v = squash(matmul(attn.reshape((bsz, n_out, 1, n_in)), u).reshape((bsz, n_out, d_out)))
     return CapsuleBank(v), RoutingState([attn.data.transpose((0, 2, 1))], [v.data])
 
@@ -361,25 +366,24 @@ def attention_routing(
 class Routing:
     """The routing layer of a model: ``spec.method`` picks the algorithm.
 
-    Only attention routing has parameters, the shared projection ``weight``
-    [d_out, 1] and scalar ``bias``. They start at zero, so attention starts
-    uniform, and receive gradients as soon as votes differ.
+    Only attention routing has a parameter, the projection ``weight`` [d_out, 1].
+    It starts at zero, so attention starts uniform, and gets gradients once votes differ.
     """
 
     def __init__(self, spec: RoutingSpec, d_out: int):
         self.spec = spec
         if spec.method == "attention":
             self.weight = Tensor(np.zeros((d_out, 1)), requires_grad=True)
-            self.bias = Tensor(np.zeros(()), requires_grad=True)
 
     def __call__(self, votes: Tensor) -> tuple[CapsuleBank, RoutingState]:
         spec = self.spec
         if spec.method == "dynamic":
             return dynamic_routing(votes, spec.iterations)
-        return attention_routing(votes, self.weight, self.bias, spec.softmax_axis, spec.scale_by_sqrt_d)
+        return attention_routing(votes, self.weight, softmax_axis=spec.softmax_axis,
+                                 scale_by_sqrt_d=spec.scale_by_sqrt_d)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)] if self.spec.method == "attention" else []
+        return [("weight", self.weight)] if self.spec.method == "attention" else []
 
 
 make_routing = Routing  # the name capsbench/tracing.py imports

@@ -14,6 +14,7 @@ OpenBLAS threads, ``cnn2`` (on 1 or 3 channels) and ``cardiocaps`` at
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -41,8 +42,8 @@ class TrainConfig:
             raise ConfigurationError("batch_size and max_epochs must be >= 1")
         if self.patience < 1:
             raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if not self.lr > 0:
-            raise ConfigurationError(f"Adam needs lr > 0, got lr={self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"Adam needs a finite lr > 0, got lr={self.lr}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 

@@ -137,8 +137,8 @@ def test_criterion_02_routing_oracles():
         b, n_in, n_out, d_out = rng.integers(1, 4), rng.integers(1, 17), rng.integers(1, 5), rng.integers(1, 9)
         votes = rng.normal(0.0, 1.0, size=(b, n_in, n_out, d_out))
         weight = rng.normal(0.0, 0.7, size=(d_out, 1))
-        bias = float(rng.normal(0.0, 0.3))
-        got = attention_routing(Tensor(votes), Tensor(weight), Tensor(np.float64(bias)))[0].activations.data
+        bias = float(rng.normal(0.0, 0.3))  # the oracle's logit bias, which its softmax cancels
+        got = attention_routing(Tensor(votes), Tensor(weight))[0].activations.data
         worst_att = max(worst_att, float(np.abs(got - _attention_oracle(votes, weight, bias)).max()))
     ok = worst_dyn < 1e-10 and worst_att < 1e-12
     _report(2, ok, f"20+20 cases: dynamic max err {worst_dyn:.2e} < 1e-10, "
@@ -166,7 +166,7 @@ def test_criterion_04_normalization_invariants():
         float(np.abs(c.sum(axis=2) - 1.0).max()) for c in state.coefficients
     )
     weight = Tensor(rng.normal(0.0, 0.5, size=(6, 1)))
-    _, att_state = attention_routing(votes, weight, Tensor(np.float64(0.1)))
+    _, att_state = attention_routing(votes, weight)
     worst_att = float(np.abs(att_state.coefficients[0].sum(axis=1) - 1.0).max())
     ok = worst_dyn < 1e-9 and worst_att < 1e-9
     _report(4, ok, f"coupling sums: dynamic per-iteration err {worst_dyn:.2e}, "

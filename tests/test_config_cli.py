@@ -422,6 +422,13 @@ def _forbid(monkeypatch, owner, *names):
         monkeypatch.setattr(owner, name, reached)
 
 
+def test_run_experiment_rejects_an_infinite_lr_before_any_data_work(monkeypatch):
+    # The command line rejects inf when parsing; a config dict reaches run_experiment as is.
+    _forbid(monkeypatch, experiment, "generate", "load")
+    with pytest.raises(ConfigurationError, match="finite lr"):
+        experiment.run_experiment({**resolve(), "lr": float("inf")})
+
+
 # train() needs a non-empty train and validation split; data.split alone accepts zero shares.
 _ZERO_SHARES = ["split_fractions=0,0,1", "split_fractions=0.9,0,0.1"]
 

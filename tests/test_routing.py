@@ -184,7 +184,7 @@ def test_routing_rejects_empty_votes(shape):
     with pytest.raises(DimensionError, match="votes"):
         dynamic_routing(votes, iterations=2)
     with pytest.raises(DimensionError, match="votes"):
-        attention_routing(votes, leaf(np.zeros((shape[3], 1))), leaf(np.zeros(())))
+        attention_routing(votes, leaf(np.zeros((shape[3], 1))))
 
 
 def _graph_arrays(root: Tensor) -> list[np.ndarray]:
@@ -202,7 +202,7 @@ def test_routing_state_holds_the_graph_arrays_not_copies():
     votes = leaf(np.random.default_rng(13).normal(size=(2, 4, 3, 5)))
     for rounds, (bank, state) in (
         (2, dynamic_routing(votes, iterations=2)),
-        (1, attention_routing(votes, leaf(np.zeros((5, 1))), leaf(np.zeros(())))),
+        (1, attention_routing(votes, leaf(np.zeros((5, 1))))),
     ):
         assert state.outputs[-1] is bank.activations.data
         assert len(state.coefficients) == rounds
@@ -232,8 +232,7 @@ def test_attention_single_input_capsule_is_squashed_vote():
     rng = np.random.default_rng(7)
     votes = rng.normal(size=(2, 1, 3, 4))
     w = leaf(rng.normal(size=(4, 1)))
-    b = leaf(rng.normal(size=()))
-    bank, state = attention_routing(leaf(votes), w, b)
+    bank, state = attention_routing(leaf(votes), w)
     expected = squash(leaf(votes[:, 0])).data
     assert_allclose(bank.activations.data, expected, atol=1e-12)
     assert_allclose(state.coefficients[0], np.ones((2, 1, 3)), atol=1e-15)
@@ -242,7 +241,7 @@ def test_attention_single_input_capsule_is_squashed_vote():
 def test_attention_zero_projection_averages_votes():
     rng = np.random.default_rng(8)
     votes = rng.normal(size=(2, 6, 3, 4))
-    bank, state = attention_routing(leaf(votes), leaf(np.zeros((4, 1))), leaf(np.zeros(())))
+    bank, state = attention_routing(leaf(votes), leaf(np.zeros((4, 1))))
     expected = squash(leaf(votes.mean(axis=1))).data
     assert_allclose(bank.activations.data, expected, atol=1e-12)
     assert_allclose(state.coefficients[0], np.full((2, 6, 3), 1.0 / 6.0), atol=1e-15)
@@ -259,10 +258,9 @@ def test_attention_matches_loop_oracle_on_20_random_cases():
         scale = case % 3 == 0
         votes = rng.normal(size=(bsz, n_in, n_out, d_out))
         w = rng.normal(size=(d_out, 1))
+        # The oracle adds a random bias to every logit; either softmax cancels it.
         b = rng.normal()
-        bank, state = attention_routing(
-            leaf(votes), leaf(w), leaf(np.asarray(b)), softmax_axis=axis, scale_by_sqrt_d=scale
-        )
+        bank, state = attention_routing(leaf(votes), leaf(w), softmax_axis=axis, scale_by_sqrt_d=scale)
         want, want_attn = attention_oracle(votes, w[:, 0], b, axis, scale)
         err = np.max(np.abs(bank.activations.data - want))
         assert err < 1e-12, f"case {case}: {err}"
@@ -273,8 +271,7 @@ def test_attention_weights_sum_to_one_over_inputs():
     rng = np.random.default_rng(10)
     votes = rng.normal(size=(3, 11, 4, 5))
     w = leaf(rng.normal(size=(5, 1)))
-    b = leaf(np.zeros(()))
-    _, state = attention_routing(leaf(votes), w, b)
+    _, state = attention_routing(leaf(votes), w)
     attn = state.coefficients[0]
     assert np.max(np.abs(attn.sum(axis=1) - 1.0)) < 1e-9
 
@@ -282,26 +279,35 @@ def test_attention_weights_sum_to_one_over_inputs():
 def test_attention_output_axis_sums_to_one_over_outputs():
     rng = np.random.default_rng(11)
     votes = rng.normal(size=(2, 5, 4, 3))
-    _, state = attention_routing(
-        leaf(votes), leaf(rng.normal(size=(3, 1))), leaf(np.zeros(())),
-        softmax_axis="output_caps",
-    )
+    _, state = attention_routing(leaf(votes), leaf(rng.normal(size=(3, 1))), softmax_axis="output_caps")
     assert np.max(np.abs(state.coefficients[0].sum(axis=2) - 1.0)) < 1e-9
+
+
+def test_attention_rejects_an_unknown_softmax_axis():
+    votes = leaf(np.zeros((1, 3, 2, 4)))
+    with pytest.raises(ConfigurationError, match="'bogus'"):
+        attention_routing(votes, leaf(np.zeros((4, 1))), softmax_axis="bogus")
+
+
+def test_attention_options_are_keyword_only():
+    # A positional third argument must not bind to softmax_axis and reroute silently.
+    votes, w = leaf(np.zeros((1, 3, 2, 4))), leaf(np.zeros((4, 1)))
+    with pytest.raises(TypeError):
+        attention_routing(votes, w, leaf(np.zeros(())))
 
 
 def test_attention_gradcheck_including_projection():
     rng = np.random.default_rng(12)
     votes = leaf(rng.normal(size=(1, 5, 2, 4)))
     w = leaf(rng.normal(size=(4, 1)))
-    b = leaf(np.zeros(()))
     weights = rng.normal(size=(1, 2, 4))
 
     def run():
-        bank, _ = attention_routing(votes, w, b)
+        bank, _ = attention_routing(votes, w)
         return (bank.activations * weights).sum()
 
     run().backward()
-    for p in (votes, w, b):
+    for p in (votes, w):
         assert relative_error(p.grad, fd_gradient(run, p)) < 1e-5
 
 

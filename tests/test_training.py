@@ -119,6 +119,32 @@ def test_training_step_leaves_gradients_on_parameters_only(overrides):
         assert np.any(p.grad != 0.0), name
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"routing": RoutingSpec(softmax_axis="output_caps", scale_by_sqrt_d=True)},
+        {"routing": RoutingSpec(method="dynamic")},
+        {"affine_kind": "conv"},
+        {"affine_kind": "constant"},
+        {"architecture": "cnn1"},
+        {"architecture": "cnn2"},
+    ],
+    ids=["attention-input", "attention-output-scaled", "dynamic", "conv", "constant", "cnn1", "cnn2"],
+)
+def test_every_parameter_gets_a_gradient_above_rounding_noise(overrides):
+    # A parameter the loss cannot see still collects ~1e-17 of rounding noise,
+    # which a non-zero check passes and Adam then turns into real steps.
+    model = tiny_model(**overrides)
+    rng = np.random.default_rng(15)
+    images = Tensor(rng.uniform(size=(4, 1, 20, 20)))
+    loss, _ = model.training_loss(images, np.array([0, 1, 0, 1]), rng.uniform(size=4))
+    loss.backward()
+    largest = {name: float(np.abs(p.grad).max()) for name, p in model.parameters()}
+    floor = 1e-12 * max(largest.values())
+    assert [name for name, g in largest.items() if g < floor] == []
+
+
 def test_capsule_grid_matches_conv_arithmetic():
     # 20 -> conv9 -> 12 -> primary conv9 stride2 -> grid 2x2, two capsules per cell
     model = tiny_model()
@@ -148,12 +174,12 @@ CAPSULE_TAIL = [
 @pytest.mark.parametrize(
     "overrides, names",
     [
-        ({}, CAPSULE_HEAD + ["votes.weight", "routing.weight", "routing.bias"] + CAPSULE_TAIL),
+        ({}, CAPSULE_HEAD + ["votes.weight", "routing.weight"] + CAPSULE_TAIL),
         (
             {"affine_kind": "conv", "routing": RoutingSpec(method="dynamic")},
             CAPSULE_HEAD + ["votes.weight", "votes.bias"] + CAPSULE_TAIL,
         ),
-        ({"affine_kind": "constant"}, CAPSULE_HEAD + ["routing.weight", "routing.bias"] + CAPSULE_TAIL),
+        ({"affine_kind": "constant"}, CAPSULE_HEAD + ["routing.weight"] + CAPSULE_TAIL),
         (
             {"architecture": "cnn1"},
             ["conv1.weight", "conv1.bias", "conv2.weight", "conv2.bias", "fc.weight", "fc.bias"],
@@ -381,7 +407,7 @@ def test_thread_sensitive_models_are_identical_per_thread_count_and_close_across
 
 @pytest.mark.parametrize(
     "field, value",
-    [("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("seed", -1)],
+    [("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf")), ("seed", -1)],
 )
 def test_train_config_rejects_values_outside_their_range(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -484,13 +510,15 @@ def test_load_rejects_shape_mismatch(tmp_path):
 
 def test_load_rejects_unknown_parameter(tmp_path):
     model = tiny_model()
-    stored = {name: p.data for name, p in model.parameters()}
-    stored["rogue.weight"] = np.zeros(3)
-    path = tmp_path / "extra.npz"
-    np.savez(path, **stored)
-    with pytest.raises(ConfigurationError) as err:
-        load_params(model, path)
-    assert "rogue.weight" in str(err.value)
+    # routing.bias is in attention checkpoints saved before that bias was dropped.
+    for extra in ("rogue.weight", "routing.bias"):
+        stored = {name: p.data for name, p in model.parameters()}
+        stored[extra] = np.zeros(3)
+        path = tmp_path / "extra.npz"
+        np.savez(path, **stored)
+        with pytest.raises(ConfigurationError) as err:
+            load_params(model, path)
+        assert extra in str(err.value)
 
 
 def test_load_rejects_a_non_real_parameter_before_writing_any(tmp_path):
