@@ -40,20 +40,29 @@ class BenchRow:
         )
 
 
-def _time_call(fn, repeats: int, warmup: int = 3) -> float:
+def _time_round_robin(fns, repeats: int, warmup: int = 3) -> list[float]:
+    """Median seconds per call of each of ``fns``, timed one call each per round
+    and in reverse order every other round, after ``warmup`` untimed rounds."""
     for _ in range(warmup):
-        fn()
-    samples = []
+        for fn in fns:
+            fn()
+    samples = [[] for _ in fns]
+    order = list(range(len(fns)))
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+        for i in order:
+            t0 = time.perf_counter()
+            fns[i]()
+            samples[i].append(time.perf_counter() - t0)
+        order.reverse()
+    return [statistics.median(times) for times in samples]
 
 
 def bench_routing(shapes=DEFAULT_SHAPES, r_values=(1, 2, 3), repeats: int = 20) -> list[BenchRow]:
     """Median per-call seconds of dynamic(r) and attention routing per vote shape,
-    on votes for a batch of 8."""
+    on votes for a batch of 8.
+
+    Per shape the methods are timed round-robin, so a burst of load from
+    another process falls on all of them rather than on one."""
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(0)
@@ -62,10 +71,10 @@ def bench_routing(shapes=DEFAULT_SHAPES, r_values=(1, 2, 3), repeats: int = 20) 
     with no_grad():
         for n_in, n_out, d_out in shapes:
             votes = Tensor(rng.normal(0.0, 0.5, size=(8, n_in, n_out, d_out)))
-            for spec in specs:
-                router = Routing(spec, d_out)
-                med = _time_call(lambda: router(votes), repeats)
-                rows.append(BenchRow(spec.method, n_in, n_out, d_out, spec.iterations, med))
+            calls = [lambda router=Routing(spec, d_out): router(votes) for spec in specs]
+            meds = _time_round_robin(calls, repeats)
+            rows += [BenchRow(spec.method, n_in, n_out, d_out, spec.iterations, med)
+                     for spec, med in zip(specs, meds)]
     return rows
 
 

@@ -9,7 +9,7 @@ repeats a run across a grid of auxiliary-loss multipliers on fixed data.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -18,9 +18,8 @@ import numpy as np
 from . import config as cfg_mod
 from .data import EchoDataset, check_split, class_proportions, generate, load, split
 from .errors import ConfigurationError
-from .losses import MarginLossParams, WeightedLossParams
 from .metrics import format_value
-from .models import ModelConfig, build_model, load_params, save_params
+from .models import build_model, load_params, save_params
 from .training import ExperimentRecord, evaluate, train
 
 __all__ = ["prepare_splits", "build_configured_model", "run_experiment", "save_run", "load_run",
@@ -82,34 +81,23 @@ def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, Ec
     return train_set, val_set, test_set
 
 
-@dataclass(frozen=True)
-class _ModelSpec:
-    """The dataclasses a configured model is built from, each built once."""
-
-    config: ModelConfig
-    margin: MarginLossParams
-    weighted: WeightedLossParams  # default class proportions until build() sees the labels
-    image_size: tuple[int, int, int]
-    seed: int
-
-    @classmethod
-    def of(cls, cfg: dict[str, Any]) -> "_ModelSpec":
-        return cls(cfg_mod.model_config_from(cfg), cfg_mod.margin_params_from(cfg),
-                   cfg_mod.weighted_params_from(cfg), cfg["image_size"], cfg["seed"])
-
-    def build(self, labels: np.ndarray):
-        weighted = replace(self.weighted, class_proportions=class_proportions(labels))
-        return build_model(self.config, self.image_size, self.margin, weighted, seed=self.seed)
+def build_configured_model(cfg: dict[str, Any], labels: np.ndarray | None = None):
+    """Build the configured model, weighting its loss by the class mix of ``labels``
+    (the default proportions if None). Building it checks every model and loss
+    value, and the spatial arithmetic of the architecture on ``image_size``."""
+    weighted = cfg_mod.weighted_params_from(cfg)
+    if labels is not None:
+        weighted = replace(weighted, class_proportions=class_proportions(labels))
+    return build_model(cfg_mod.model_config_from(cfg), cfg["image_size"],
+                       cfg_mod.margin_params_from(cfg), weighted, seed=cfg["seed"])
 
 
 def _checked(cfg: dict[str, Any]):
-    """The model spec and ``TrainConfig`` of ``cfg``; building them checks every range."""
-    return _ModelSpec.of(cfg), cfg_mod.train_config_from(cfg)
-
-
-def build_configured_model(cfg: dict[str, Any], labels: np.ndarray):
-    """Build the configured model, weighting its loss by the class mix of ``labels``."""
-    return _ModelSpec.of(cfg).build(labels)
+    """The model of ``cfg``, at the default class proportions, and its ``TrainConfig``;
+    building them checks every range and the model's geometry. The ``TrainConfig``
+    comes first: it checks the ``seed`` the model's initial weights are drawn from."""
+    train_config = cfg_mod.train_config_from(cfg)
+    return build_configured_model(cfg), train_config
 
 
 def run_experiment(
@@ -121,14 +109,16 @@ def run_experiment(
 
     The splits are ``splits`` if given, else ``prepare_splits(cfg, data_path)``.
     The model and training dataclasses are built before them, so a value out
-    of range fails before any data work. Returns (model, record); the record
+    of range or a model that does not fit ``image_size`` fails before any data
+    work; the initial weights depend only on ``seed``, and the train split's
+    class mix then weights the loss. Returns (model, record); the record
     embeds the full config snapshot, so a rerun from that snapshot reproduces
     it bit for bit (timings aside). With ``data_path`` it also holds the
     file's SHA-256, since the snapshot's generator settings did not make it.
     """
-    spec, train_config = _checked(cfg)
+    model, train_config = _checked(cfg)
     train_set, val_set, test_set = splits if splits is not None else prepare_splits(cfg, data_path)
-    model = spec.build(train_set.labels)
+    model.weighted = replace(model.weighted, class_proportions=class_proportions(train_set.labels))
     record = train(model, train_set, val_set, train_config, cfg_mod.config_snapshot(cfg))
     if data_path is not None:
         record.data_sha256 = hashlib.sha256(Path(data_path).read_bytes()).hexdigest()

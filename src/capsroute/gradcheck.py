@@ -1,7 +1,7 @@
 """Central finite-difference verification of tape gradients.
 
-The step for an entry with value x is ``h = h_scale * max(1, |x|)`` and both
-sides are evaluated in float64. Errors are reported as
+The step for an entry with value x is ``h = DEFAULT_STEP_SCALE * max(1, |x|)``
+and both sides are evaluated in float64. Errors are reported as
 ``|analytic - numeric| / max(1, |analytic|, |numeric|)``, i.e. absolute near
 zero and relative away from it.
 """
@@ -49,7 +49,6 @@ def fd_gradient(
     f: Callable[[], Tensor],
     param: Tensor,
     indices: Sequence[int] | None = None,
-    h_scale: float = DEFAULT_STEP_SCALE,
 ) -> np.ndarray:
     """Central differences of the scalar ``f()`` w.r.t. flat entries of ``param``.
 
@@ -66,7 +65,7 @@ def fd_gradient(
     grads = np.zeros(len(indices))
     for n, i in enumerate(indices):
         x0 = flat[i]
-        h = h_scale * max(1.0, abs(x0))
+        h = DEFAULT_STEP_SCALE * max(1.0, abs(x0))
         flat[i] = x0 + h
         up = f().item()
         flat[i] = x0 - h
@@ -81,13 +80,12 @@ def check_gradient(
     f: Callable[[], Tensor],
     param: Tensor,
     tolerance: float = 1e-6,
-    h_scale: float = DEFAULT_STEP_SCALE,
 ) -> GradCheckResult:
     """Compare the full analytic gradient of ``param`` against finite differences."""
     loss = f()
     loss.backward()
     analytic = param.grad.copy()
-    numeric = fd_gradient(f, param, h_scale=h_scale)
+    numeric = fd_gradient(f, param)
     return GradCheckResult(name, relative_error(analytic, numeric), tolerance)
 
 
@@ -98,7 +96,6 @@ def spot_check(
     n_entries: int,
     rng: np.random.Generator,
     tolerance: float = 1e-4,
-    h_scale: float = DEFAULT_STEP_SCALE,
 ) -> GradCheckResult:
     """Verify ``n_entries`` randomly chosen parameter entries of a composite model.
 
@@ -118,7 +115,7 @@ def spot_check(
     for flat_idx in picks:
         owner = int(np.searchsorted(bounds, flat_idx, side="right"))
         local = int(flat_idx - (bounds[owner - 1] if owner else 0))
-        numeric = fd_gradient(f, params[owner][1], indices=[local], h_scale=h_scale)
+        numeric = fd_gradient(f, params[owner][1], indices=[local])
         worst = max(worst, relative_error(analytic[flat_idx], numeric[0]))
     return GradCheckResult(name, worst, tolerance)
 

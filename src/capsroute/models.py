@@ -103,8 +103,13 @@ class CapsuleClassifier:
         hg, wg = (h1 - k) // 2 + 1, (w1 - k) // 2 + 1
         if h1 < k or w1 < k or hg < 1 or wg < 1:
             raise ConfigurationError(
-                f"image {h}x{w} with kernel {k} leaves no primary grid: "
+                f"image {h}x{w} with conv_kernel={k} leaves no primary grid: "
                 f"conv stem {h1}x{w1} -> capsule grid {hg}x{wg}"
+            )
+        if cfg.hidden_dim % cfg.d_primary:
+            raise ConfigurationError(
+                f"hidden_dim={cfg.hidden_dim} channels do not split into capsules of "
+                f"d_primary={cfg.d_primary}"
             )
         self.conv_weight, self.conv_bias = conv_params(cfg.hidden_dim, c_img, k, rng)
         self.primary = PrimaryCapsules(
@@ -170,7 +175,7 @@ class CnnClassifier:
 
         trace = [f"input {h}x{w}"]
         h1, w1 = h - k1 + 1, w - k1 + 1
-        trace.append(f"conv{k1} -> {h1}x{w1}")
+        trace.append(f"conv_kernel={k1} -> {h1}x{w1}")
         if self.pool_each:
             if h1 % 2 or w1 % 2:
                 raise ConfigurationError("pooling needs even extents: " + ", ".join(trace))

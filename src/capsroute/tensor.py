@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is built eagerly: each operation stores its parent tensors and a
-backward closure on its output. ``Tensor.backward`` walks the recorded
+The graph is built eagerly: each operation stores its input tensors and one
+gradient function per input on its output. ``Tensor.backward`` walks the recorded
 operations once in reverse topological order and *writes* each reachable
 leaf's gradient into that leaf's own ``.grad`` (a leaf is a tensor created with
 ``requires_grad=True``), so repeated calls are idempotent (bit-identical
@@ -12,10 +12,11 @@ are dropped as soon as they have been passed on, and op outputs keep
 ``.grad`` at None. Leaves start with zero gradients, so parameters that never
 join a loss read back as zero.
 
-A backward rule maps the output's gradient to one entry per parent and
-returns ``None`` for a parent that needs no gradient, so a constant operand
-(class weights, targets, pixels) costs no gradient work. The elementwise
-binary ops share one broadcasting rule, ``_broadcast_op``.
+An op hands ``_from_op`` each input paired with the function that maps the
+output's gradient to that input's gradient. ``_from_op`` keeps the function
+only for an input that needs a gradient, so a constant operand (class weights,
+targets, pixels) costs no gradient work and no op checks ``requires_grad``
+itself. The elementwise binary ops share one broadcasting op, ``_broadcast_op``.
 
 All arithmetic is performed in float64. Nothing in this module owns global
 random state; callers pass ``numpy.random.Generator`` objects where needed.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from typing import Callable
 
 import numpy as np
 
@@ -85,15 +87,19 @@ def no_grad():
 class Tensor:
     """A dense float64 array plus the bookkeeping for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_rule")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
 
     def __init__(self, data, requires_grad: bool = False):
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        # A leaf is updated in place, so it copies rather than write into the caller's array.
-        self.data = (np.array if self.requires_grad else np.asarray)(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        if self.requires_grad:
+            # A leaf is updated in place, so it copies rather than write into the caller's array.
+            self.data = np.array(data, dtype=np.float64)
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
+            self.grad = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward_rule = None
+        self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
 
     # ------------------------------------------------------------------ info
     @property
@@ -165,8 +171,8 @@ class Tensor:
         ``self`` must hold a single element. Each reached leaf's ``grad`` array
         is overwritten in place, not accumulated into, so running backward
         twice on the same graph yields bit-identical results. Op outputs get
-        no ``grad``. Each op's rule returns ``None`` for a parent that needs
-        no gradient, so the rules alone decide which parents receive one.
+        no ``grad``. Only the gradient functions ``_from_op`` recorded run, so
+        an input that needs no gradient receives none.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -178,10 +184,11 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward_rule is not None:
-                for parent, pg in zip(node._parents, node._backward_rule(g)):
-                    if pg is None:
+            if node._parents:
+                for parent, grad_fn in zip(node._parents, node._grad_fns):
+                    if grad_fn is None:
                         continue
+                    pg = grad_fn(g)
                     held = grads.get(id(parent))
                     grads[id(parent)] = pg if held is None else held + pg
             elif node.requires_grad:
@@ -212,18 +219,24 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], rule) -> Tensor:
+def _from_op(data: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The output ``data`` of an op on ``inputs``, each an (input, grad_fn) pair.
+
+    ``grad_fn(g)`` maps the output's gradient ``g`` to the input's gradient,
+    shaped like the input. When grad mode is on and some input requires a
+    gradient, the output records every input in ``_parents`` (constants too, in
+    order) and, in the parallel ``_grad_fns``, each input's function, or None
+    for an input that needs no gradient. Otherwise it records neither.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data if data.dtype == np.float64 else data.astype(np.float64)
     out.grad = None
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_rule = rule
+    out.requires_grad = _GRAD_ENABLED and any(t.requires_grad for t, _ in inputs)
+    if out.requires_grad:
+        out._parents = tuple(t for t, _ in inputs)
+        out._grad_fns = tuple(None if not t.requires_grad else fn for t, fn in inputs)
     else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_rule = None
+        out._parents = out._grad_fns = ()
     return out
 
 
@@ -263,16 +276,12 @@ def _reduced_axes(axis, ndim: int, op: str) -> tuple[int, ...]:
 
 def _broadcast_op(op: str, fwd, a, b, grad_a, grad_b) -> Tensor:
     """``fwd(a, b)`` under numpy broadcasting; ``grad_a(g, a, b)`` and ``grad_b(g, a, b)``
-    give each input's gradient, summed back to its shape, when it needs one."""
+    give each input's gradient, summed back to its shape."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(op, a.shape, b.shape)
-
-    def rule(g):
-        ga = _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _from_op(fwd(a.data, b.data), (a, b), rule)
+    return _from_op(fwd(a.data, b.data),
+                    (a, lambda g: _unbroadcast(grad_a(g, a.data, b.data), a.shape)),
+                    (b, lambda g: _unbroadcast(grad_b(g, a.data, b.data), b.shape)))
 
 
 # ------------------------------------------------------------------ elementwise
@@ -296,59 +305,35 @@ def div(a, b) -> Tensor:
 def scale(a, s: float) -> Tensor:
     a = _as_tensor(a)
     s = float(s)
-
-    def rule(g):
-        return (g * s,)
-
-    return _from_op(a.data * s, (a,), rule)
+    return _from_op(a.data * s, (a, lambda g: g * s))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0  # subgradient 0 at the kink
-
-    def rule(g):
-        return (g * mask,)
-
-    return _from_op(a.data * mask, (a,), rule)
+    return _from_op(a.data * mask, (a, lambda g: g * mask))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-
-    def rule(g):
-        return (g * (2.0 * a.data),)
-
-    return _from_op(a.data * a.data, (a,), rule)
+    return _from_op(a.data * a.data, (a, lambda g: g * (2.0 * a.data)))
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
     out = np.sqrt(a.data)
-
-    def rule(g):
-        return (g / (2.0 * out),)
-
-    return _from_op(out, (a,), rule)
+    return _from_op(out, (a, lambda g: g / (2.0 * out)))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
-
-    def rule(g):
-        return (g * out,)
-
-    return _from_op(out, (a,), rule)
+    return _from_op(out, (a, lambda g: g * out))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-
-    def rule(g):
-        return (g / a.data,)
-
-    return _from_op(np.log(a.data), (a,), rule)
+    return _from_op(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def sigmoid(a) -> Tensor:
@@ -356,11 +341,7 @@ def sigmoid(a) -> Tensor:
     # Evaluate through exp(-|x|) so neither branch can overflow.
     t = np.exp(-np.abs(a.data))
     out = np.where(a.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-    def rule(g):
-        return (g * out * (1.0 - out),)
-
-    return _from_op(out, (a,), rule)
+    return _from_op(out, (a, lambda g: g * out * (1.0 - out)))
 
 
 # -------------------------------------------------------------------- contractions
@@ -375,13 +356,9 @@ def matmul(a, b) -> Tensor:
             f"matmul: inner dimensions disagree for {a.shape} and {b.shape}"
         )
     _check_broadcast("matmul (batch dims)", a.shape[:-2], b.shape[:-2])
-
-    def rule(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _from_op(np.matmul(a.data, b.data), (a, b), rule)
+    return _from_op(np.matmul(a.data, b.data),
+                    (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
+                    (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
 
 
 def softmax(a, axis: int) -> Tensor:
@@ -391,12 +368,7 @@ def softmax(a, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=ax, keepdims=True)
-
-    def rule(g):
-        inner = (g * out).sum(axis=ax, keepdims=True)
-        return (out * (g - inner),)
-
-    return _from_op(out, (a,), rule)
+    return _from_op(out, (a, lambda g: out * (g - (g * out).sum(axis=ax, keepdims=True))))
 
 
 def log_softmax(a, axis: int) -> Tensor:
@@ -405,11 +377,7 @@ def log_softmax(a, axis: int) -> Tensor:
     ax = _normalize_axis(axis, a.ndim, "log_softmax")
     shifted = a.data - a.data.max(axis=ax, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
-
-    def rule(g):
-        return (g - np.exp(out) * g.sum(axis=ax, keepdims=True),)
-
-    return _from_op(out, (a,), rule)
+    return _from_op(out, (a, lambda g: g - np.exp(out) * g.sum(axis=ax, keepdims=True)))
 
 
 def vector_norm(a) -> Tensor:
@@ -428,22 +396,15 @@ def vector_norm(a) -> Tensor:
         out, rows = np.array(out), x[big]
         m = np.abs(rows).max(axis=-1)
         out[big] = m * np.sqrt(np.square(rows / m[:, None]).sum(axis=-1) + NORM_EPS / m / m)
-
-    def rule(g):
-        return ((g / out)[..., None] * a.data,)
-
-    return _from_op(out, (a,), rule)
+    return _from_op(out, (a, lambda g: (g / out)[..., None] * a.data))
 
 
 # --------------------------------------------------------------------- reductions
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     axes = _reduced_axes(axis, a.ndim, "sum")
-
-    def rule(g):
-        return (np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.shape),)
-
-    return _from_op(np.asarray(a.data.sum(axis=axes, keepdims=keepdims)), (a,), rule)
+    return _from_op(np.asarray(a.data.sum(axis=axes, keepdims=keepdims)),
+                    (a, lambda g: np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.shape)))
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -461,11 +422,7 @@ def reshape(a, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise DimensionError(f"reshape: cannot view {old} as {tuple(shape)}") from None
-
-    def rule(g):
-        return (g.reshape(old),)
-
-    return _from_op(out, (a,), rule)
+    return _from_op(out, (a, lambda g: g.reshape(old)))
 
 
 def transpose(a, axes) -> Tensor:
@@ -474,11 +431,7 @@ def transpose(a, axes) -> Tensor:
     if sorted(axes) != list(range(a.ndim)):
         raise DimensionError(f"transpose: {axes} is not a permutation of rank {a.ndim}")
     inverse = tuple(np.argsort(axes))
-
-    def rule(g):
-        return (g.transpose(inverse),)
-
-    return _from_op(a.data.transpose(axes), (a,), rule)
+    return _from_op(a.data.transpose(axes), (a, lambda g: g.transpose(inverse)))
 
 
 # ------------------------------------------------------------------- convolution
@@ -494,8 +447,8 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     buffer, and adds each image's ``cols_b.T @ g_b`` into one zeroed
     accumulator in batch order. That is the order of a sum over the batch axis
     of the per-image products, so the result does not depend on the block size.
-    The input gradient, built only when ``x`` needs one, adds ``g @ w[:, :, i, j]``
-    per kernel offset (i, j) in lexicographic order, as a patch scatter would.
+    The input gradient adds ``g @ w[:, :, i, j]`` per kernel offset (i, j) in
+    lexicographic order, as a patch scatter would.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -535,32 +488,32 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     for blk in blocks:
         np.matmul(gather(blk), flat.T, out=out[blk])
 
-    def rule(g):
-        g_rows = g.reshape(bsz, c_out, ho * wo).transpose(0, 2, 1)  # [B, ho*wo, C_out]
-        gx = gw = None
-        if x.requires_grad:
-            if c_in > 1 and ho * wo > 1:
-                g2 = np.ascontiguousarray(g_rows).reshape(bsz * ho * wo, c_out)
-                wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # [k, k, C_out, C_in]
-                terms = (np.matmul(g2, wk[ij]) for ij in np.ndindex(k, k))
-            else:
-                # A one-row or one-column GEMM takes BLAS's matrix-vector path,
-                # which sums in another order; keep the k*k-wide product.
-                g_cols = np.matmul(g_rows, flat).reshape(bsz * ho * wo, c_in, k * k)
-                terms = (g_cols[..., n] for n in range(k * k))
-            buf = np.zeros((bsz, hp, wp, c_in))
-            for (i, j), term in zip(np.ndindex(k, k), terms):
-                buf[:, i : i + s * ho : s, j : j + s * wo : s] += term.reshape(bsz, ho, wo, c_in)
-            gx = np.ascontiguousarray(buf.transpose(0, 3, 1, 2))[:, :, p : p + h, p : p + wd]
-        if w.requires_grad:
-            acc, prod = np.zeros((n_cols, c_out)), np.empty((n_cols, c_out))
-            for blk in blocks:
-                for cols_b, g_b in zip(gather(blk), g_rows[blk]):
-                    acc += np.matmul(cols_b.T, g_b, out=prod)
-            gw = acc.T.reshape(w.shape)
-        return gx, gw
+    def rows(g):
+        return g.reshape(bsz, c_out, n_rows).transpose(0, 2, 1)  # [B, ho*wo, C_out]
 
-    return _from_op(out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo), (x, w), rule)
+    def grad_x(g):
+        if c_in > 1 and n_rows > 1:
+            g2 = np.ascontiguousarray(rows(g)).reshape(bsz * n_rows, c_out)
+            wk = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # [k, k, C_out, C_in]
+            terms = (np.matmul(g2, wk[ij]) for ij in np.ndindex(k, k))
+        else:
+            # A one-row or one-column GEMM takes BLAS's matrix-vector path,
+            # which sums in another order; keep the k*k-wide product.
+            g_cols = np.matmul(rows(g), flat).reshape(bsz * n_rows, c_in, k * k)
+            terms = (g_cols[..., n] for n in range(k * k))
+        buf = np.zeros((bsz, hp, wp, c_in))
+        for (i, j), term in zip(np.ndindex(k, k), terms):
+            buf[:, i : i + s * ho : s, j : j + s * wo : s] += term.reshape(bsz, ho, wo, c_in)
+        return np.ascontiguousarray(buf.transpose(0, 3, 1, 2))[:, :, p : p + h, p : p + wd]
+
+    def grad_w(g):
+        acc, prod, g_rows = np.zeros((n_cols, c_out)), np.empty((n_cols, c_out)), rows(g)
+        for blk in blocks:
+            for cols_b, g_b in zip(gather(blk), g_rows[blk]):
+                acc += np.matmul(cols_b.T, g_b, out=prod)
+        return acc.T.reshape(w.shape)
+
+    return _from_op(out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo), (x, grad_x), (w, grad_w))
 
 
 def maxpool2d(a, kernel: int) -> Tensor:
@@ -584,10 +537,10 @@ def maxpool2d(a, kernel: int) -> Tensor:
     idx = tiles.argmax(axis=-1)
     out = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
 
-    def rule(g):
+    def grad_a(g):
         buf = np.zeros((bsz, ch, ho, wo, k * k))
         np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
         gx = buf.reshape(bsz, ch, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5)
-        return (gx.reshape(bsz, ch, h, w),)
+        return gx.reshape(bsz, ch, h, w)
 
-    return _from_op(np.ascontiguousarray(out), (a,), rule)
+    return _from_op(np.ascontiguousarray(out), (a, grad_a))

@@ -61,6 +61,9 @@ def test_capsbench_runs_on_the_library(bench, method):
     fns = tracing.stage_fns(model, images, train_set.labels[:batch], train_set.reg_targets[:batch])
     for name, fn in fns.items():
         assert np.all(np.isfinite(fn().data)), name
+    # tensor.graph_nodes walks the graph through each node's parent tuple.
+    loss, _ = model.training_loss(images, train_set.labels[:batch], train_set.reg_targets[:batch])
+    assert tracing.count_nodes(loss) == len(loss._topological_order())
 
     with tracing.Tracer(model) as tracer:
         train(model, train_set, val_set, TrainConfig(lr=0.003, batch_size=batch, max_epochs=1, patience=1))

@@ -439,18 +439,35 @@ _ZERO_SHARES = ["split_fractions=0,0,1", "split_fractions=0.9,0,0.1"]
     ["lr=-0.01", "routing_iterations=0", "routing_method=foo", "attention_softmax_axis=rows",
      "max_epochs=0", "split_fractions=0.5,0.5,0.5", "m_minus=0.95", "lambda_reg=-1",
      "positive_class=2", "n_classes=3", "seed=-1", "split_seed=-1", "decoder_hidden=0,5",
-     *_ZERO_SHARES],
+     "d_primary=5", "conv_kernel=11", *_ZERO_SHARES],
 )
 def test_cli_train_rejects_out_of_range_values_before_any_data_work(
     tmp_path, capsys, monkeypatch, bad, with_data
 ):
+    _assert_train_rejects_before_any_data_work(tmp_path, capsys, monkeypatch, [bad], with_data,
+                                               bad.split("=")[0])
+
+
+@pytest.mark.parametrize("with_data", [False, True], ids=["generated", "data-file"])
+@pytest.mark.parametrize("architecture, kernel", [("cnn1", 6), ("cnn2", 30)])
+def test_cli_train_rejects_a_cnn_kernel_that_does_not_fit_before_any_data_work(
+    tmp_path, capsys, monkeypatch, architecture, kernel, with_data
+):
+    # On 20x20, cnn1's 6x6 stem leaves an odd 15x15 map to pool; cnn2's 30x30 leaves none.
+    settings = [f"architecture={architecture}", f"conv_kernel={kernel}"]
+    _assert_train_rejects_before_any_data_work(tmp_path, capsys, monkeypatch, settings, with_data,
+                                               "conv_kernel")
+
+
+def _assert_train_rejects_before_any_data_work(tmp_path, capsys, monkeypatch, settings, with_data,
+                                               key):
     for owner in (data, experiment):
         _forbid(monkeypatch, owner, "generate", "load")
     data_args = ["--data", str(tmp_path / "never-read.ecap")] if with_data else []
-    argv = ["train", *tiny_args(bad), *data_args, "--run-dir", str(tmp_path / "run")]
+    argv = ["train", *tiny_args(*settings), *data_args, "--run-dir", str(tmp_path / "run")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and bad.split("=")[0] in err
+    assert err.startswith("error:") and key in err
     assert not (tmp_path / "run").exists()
 
 
@@ -490,7 +507,7 @@ def _tiny_ecap(tmp_path, image_size):
 
 def test_cli_train_rejects_a_data_file_of_another_image_shape(tmp_path, capsys, monkeypatch):
     ecap = _tiny_ecap(tmp_path, "1,24,24")
-    _forbid(monkeypatch, experiment, "build_model", "train")
+    _forbid(monkeypatch, experiment, "train")
     capsys.readouterr()
     argv = ["train", *tiny_args(), "--data", str(ecap), "--run-dir", str(tmp_path / "run")]
     assert main(argv) == 2
@@ -527,7 +544,7 @@ def test_cli_eval_rejects_a_run_directory_naming_a_removed_key(tmp_path, capsys,
 
 def test_cli_train_rejects_rotation_shift_test_with_a_data_file(tmp_path, capsys, monkeypatch):
     ecap = _tiny_ecap(tmp_path, "1,20,20")
-    _forbid(monkeypatch, experiment, "build_model", "train")
+    _forbid(monkeypatch, experiment, "train")
     capsys.readouterr()
     argv = ["train", *tiny_args("rotation_shift_test=true"), "--data", str(ecap),
             "--run-dir", str(tmp_path / "run")]

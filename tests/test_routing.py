@@ -337,3 +337,25 @@ def test_bench_routing_rejects_fewer_than_one_repeat():
 
     with pytest.raises(ConfigurationError, match="repeats must be >= 1, got 0"):
         bench_routing(shapes=((8, 2, 4),), repeats=0)
+
+
+def test_bench_routing_times_the_methods_round_robin_in_alternating_order(monkeypatch):
+    from capsroute import bench
+
+    calls = []
+
+    class RecordingRouting:
+        def __init__(self, spec, d_out):
+            self.name = f"{spec.method}{spec.iterations}"
+
+        def __call__(self, votes):
+            calls.append(self.name)
+
+    monkeypatch.setattr(bench, "Routing", RecordingRouting)
+    rows = bench.bench_routing(shapes=((4, 2, 3), (5, 2, 3)), r_values=(1, 2), repeats=3)
+    forward, backward = ["dynamic1", "dynamic2", "attention1"], ["attention1", "dynamic2", "dynamic1"]
+    per_shape = 3 * forward + forward + backward + forward  # three warm-up rounds, then timed ones
+    assert calls == 2 * per_shape
+    assert [(r.method, r.n_in, r.iterations) for r in rows] == [
+        (m, n, i) for n in (4, 5) for m, i in (("dynamic", 1), ("dynamic", 2), ("attention", 1))
+    ]

@@ -216,16 +216,44 @@ _TWO_INPUT_OPS = {
 
 @pytest.mark.parametrize("constant", [0, 1], ids=["constant-first", "constant-second"])
 @pytest.mark.parametrize("name", list(_TWO_INPUT_OPS))
-def test_rule_returns_none_for_an_input_that_needs_no_gradient(name, constant):
+def test_op_records_no_gradient_function_for_an_input_that_needs_none(name, constant):
     op, *shapes = _TWO_INPUT_OPS[name]
     rng = np.random.default_rng(31)
     inputs = [Tensor(rng.uniform(1.0, 2.0, size=shape), requires_grad=i != constant)
               for i, shape in enumerate(shapes)]
     out = op(*inputs)
-    grads = out._backward_rule(np.ones(out.shape))
-    assert grads[constant] is None
-    assert isinstance(grads[1 - constant], np.ndarray)
-    assert grads[1 - constant].shape == shapes[1 - constant]
+    assert out._parents == tuple(inputs)
+    assert out._grad_fns[constant] is None
+    grad = out._grad_fns[1 - constant](np.ones(out.shape))
+    assert isinstance(grad, np.ndarray)
+    assert grad.shape == shapes[1 - constant]
+
+
+_ONE_INPUT_OPS = {
+    "scale": lambda t: T.scale(t, 2.0),
+    "relu": T.relu,
+    "square": T.square,
+    "sqrt": T.sqrt,
+    "exp": T.exp,
+    "log": T.log,
+    "sigmoid": T.sigmoid,
+    "softmax": lambda t: T.softmax(t, axis=1),
+    "log_softmax": lambda t: T.log_softmax(t, axis=1),
+    "vector_norm": T.vector_norm,
+    "sum": T.tensor_sum,
+    "mean": T.tensor_mean,
+    "reshape": lambda t: T.reshape(t, (2, 2, 8)),
+    "transpose": lambda t: T.transpose(t, (3, 2, 1, 0)),
+    "maxpool2d": lambda t: T.maxpool2d(t, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_INPUT_OPS))
+def test_op_on_a_constant_records_no_parents_in_grad_mode(name):
+    constant = Tensor(np.random.default_rng(33).uniform(1.0, 2.0, size=(2, 2, 4, 2)))
+    out = _ONE_INPUT_OPS[name](constant)
+    assert not out.requires_grad
+    assert out._parents == () and out._grad_fns == ()
 
 
 @pytest.mark.parametrize("keepdims", [False, True])

@@ -109,10 +109,10 @@ def test_training_step_leaves_gradients_on_parameters_only(overrides):
     loss, _ = model.training_loss(images, np.array([0, 1, 0, 1]), np.full(4, 0.5))
     loss.backward()
     graph = loss._topological_order()
-    ops = [node for node in graph if node._backward_rule is not None]
+    ops = [node for node in graph if node._parents]
     assert ops and all(node.grad is None for node in ops)
     params = dict(model.parameters())
-    leaves = {id(node) for node in graph if node.requires_grad and node._backward_rule is None}
+    leaves = {id(node) for node in graph if node.requires_grad and not node._parents}
     assert leaves == {id(p) for p in params.values()}
     for name, p in params.items():
         assert p.grad.shape == p.data.shape and np.all(np.isfinite(p.grad)), name
