@@ -30,7 +30,8 @@ CONE_HALF_ANGLE_DEG = 40.0
 TISSUE_LEVEL = 0.55
 CHAMBER_LEVEL = 0.12
 CROP_ZOOMS = (1.0, 0.8, 0.6)  # 3-channel mode: tighter center crops per channel
-_SHUFFLE_STREAM = np.uint64(2**63)  # reserved stream key; sample indices stay below
+_SHUFFLE_STREAM = 2**63  # reserved stream key; sample indices stay below
+_BLOCK = 32  # samples rendered per pass; each [B, H, W] float64 temporary is ~0.25 MB at 32x32
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,21 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _scene(h: int, w: int, zoom: float, cy: float, cx: float, width_px: float, angle_deg: float):
+def _scene(h: int, w: int, zoom: float, cy, cx, width_px, angle_deg):
     """Rasterize one channel; returns (image without noise, chamber mask, cone mask).
 
-    ``zoom`` < 1 emulates a tighter center crop by sampling the scene at
-    coordinates pulled toward the frame center, which enlarges the anatomy
-    without any resampling artifacts.
+    ``cy``, ``cx``, ``width_px`` and ``angle_deg`` are scalars for one scene, or
+    ``[B, 1, 1]`` arrays for B scenes; the image and chamber mask then gain the
+    leading sample axis, while the cone mask, which depends only on the view,
+    stays ``[H, W]``. ``zoom`` < 1 emulates a tighter center crop by sampling the
+    scene at coordinates pulled toward the frame center, which enlarges the
+    anatomy without any resampling artifacts.
     """
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    # Sampled rows and columns stay 1-D ([H, 1] and [1, W]) until the masks
+    # broadcast them, so the offsets from each center are one row and one column.
     mid_y, mid_x = (h - 1) / 2.0, (w - 1) / 2.0
-    sy = mid_y + (yy - mid_y) * zoom
-    sx = mid_x + (xx - mid_x) * zoom
+    sy = mid_y + (np.arange(h, dtype=np.float64)[:, None] - mid_y) * zoom
+    sx = mid_x + (np.arange(w, dtype=np.float64)[None, :] - mid_x) * zoom
 
     spread = np.tan(np.deg2rad(CONE_HALF_ANGLE_DEG))
     cone = (sy >= CONE_APEX_ROW) & (np.abs(sx - (w - 1) / 2.0) <= spread * (sy - CONE_APEX_ROW))
@@ -141,30 +146,8 @@ def _scene(h: int, w: int, zoom: float, cy: float, cx: float, width_px: float, a
     b = width_px / 2.0
     chamber = ((major / a) ** 2 + (minor / b) ** 2 <= 1.0) & cone
 
-    img = np.where(cone, TISSUE_LEVEL, 0.0)
-    img[chamber] = CHAMBER_LEVEL
+    img = np.where(chamber, CHAMBER_LEVEL, np.where(cone, TISSUE_LEVEL, 0.0))
     return img, chamber, cone
-
-
-def _render_sample(
-    cfg: SynthConfig, rng: np.random.Generator, label: int, rotation_range: tuple[float, float]
-) -> tuple[np.ndarray, float]:
-    c, h, w = cfg.image_size
-    interval = cfg.width_dilated if label == 1 else cfg.width_normal
-    # Draw order is part of the format: width, angle, dy, dx, then per-channel noise.
-    width_px = rng.uniform(interval[0], interval[1])
-    angle = rng.uniform(rotation_range[0], rotation_range[1])
-    jy = rng.uniform(-cfg.translation_range, cfg.translation_range)
-    jx = rng.uniform(-cfg.translation_range, cfg.translation_range)
-    cy = 0.55 * (h - 1) + jy
-    cx = (w - 1) / 2.0 + jx
-
-    img = np.empty((c, h, w))
-    for ch in range(c):
-        base, _, cone = _scene(h, w, CROP_ZOOMS[ch], cy, cx, width_px, angle)
-        noise = rng.normal(0.0, 1.0, size=(h, w))
-        img[ch] = np.clip(base + cfg.noise_sigma * noise * cone, 0.0, 1.0)
-    return img, width_px / h
 
 
 def generate(
@@ -179,8 +162,17 @@ def generate(
     defaults to the training range; pass ``cfg.rotation_range_test`` (plus a
     disjoint ``index_offset``) to build a rotation-shifted evaluation set under
     the same seed.
+
+    Samples are rendered ``_BLOCK`` at a time: each sample draws from its own
+    stream in the format's order, then the block's geometry is rasterized in
+    one broadcast pass per channel.
     """
     n = cfg.n_samples
+    if index_offset < 0 or index_offset + n > _SHUFFLE_STREAM:
+        raise ConfigurationError(
+            f"index_offset must keep sample indices in [0, 2**63), below the label stream's key; "
+            f"got index_offset={index_offset} for {n} samples"
+        )
     rot = rotation_range if rotation_range is not None else cfg.rotation_range_train
     n_pos = int(round(n * cfg.positive_ratio))
     if n_pos == 0 or n_pos == n:
@@ -189,19 +181,34 @@ def generate(
         )
     labels = np.zeros(n, dtype=np.uint8)
     labels[:n_pos] = 1
-    shuffle_rng = np.random.Generator(
-        np.random.Philox(key=np.array([np.uint64(cfg.seed), _SHUFFLE_STREAM], dtype=np.uint64))
-    )
-    shuffle_rng.shuffle(labels)
+    _sample_rng(cfg.seed, _SHUFFLE_STREAM).shuffle(labels)
 
     c, h, w = cfg.image_size
+    t = cfg.translation_range
+    widths = np.array([cfg.width_normal, cfg.width_dilated], dtype=np.float64)[labels]  # [N, (lo, hi)]
     images = np.empty((n, c, h, w), dtype=np.float32)
     regs = np.empty(n, dtype=np.float32)
-    for i in range(n):
-        rng = _sample_rng(cfg.seed, index_offset + i)
-        img, reg = _render_sample(cfg, rng, int(labels[i]), rot)
-        images[i] = img.astype(np.float32)
-        regs[i] = np.float32(reg)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        u = np.empty((stop - start, 4))
+        noise = np.empty((stop - start, c, h, w))
+        for k in range(stop - start):
+            rng = _sample_rng(cfg.seed, index_offset + start + k)
+            # Draw order is part of the format: width, angle, dy, dx, then the
+            # noise of each channel. uniform(lo, hi) is lo + (hi - lo) * random().
+            rng.random(out=u[k])
+            rng.standard_normal(out=noise[k])
+        lo, hi = widths[start:stop].T
+        width_px = lo + (hi - lo) * u[:, 0]
+        angle = rot[0] + (rot[1] - rot[0]) * u[:, 1]
+        jy, jx = (-t + 2.0 * t * u[:, 2:]).T
+        cy = 0.55 * (h - 1) + jy
+        cx = (w - 1) / 2.0 + jx
+        geometry = [a[:, None, None] for a in (cy, cx, width_px, angle)]
+        for ch in range(c):
+            base, _, cone = _scene(h, w, CROP_ZOOMS[ch], *geometry)
+            images[start:stop, ch] = np.clip(base + cfg.noise_sigma * noise[:, ch] * cone, 0.0, 1.0)
+        regs[start:stop] = width_px / h
     return EchoDataset(images, labels, regs)
 
 

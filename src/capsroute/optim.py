@@ -11,15 +11,21 @@ from .tensor import Tensor
 
 __all__ = ["Adam"]
 
+_CHUNK = 32768  # elements per pass: six 256 KiB streams fit a 2 MiB L2 cache
+
 
 class Adam:
     """Standard Adam: decaying first/second moment estimates, bias-corrected step.
 
     The update is lr * m_hat / (sqrt(v_hat) + eps); under a constant gradient
     the step size approaches lr * sign(g). ``zero_grad`` and ``step`` write
-    into each parameter's own ``grad`` and ``data`` and into its moments. A
-    non-finite gradient aborts training with the offending parameter named,
-    since continuing would poison the moments.
+    into each parameter's own ``grad`` and ``data`` and into its moments.
+    ``step`` walks each parameter in chunks of ``_CHUNK`` elements, so a
+    chunk's gradient, moments and data stay in cache across its dozen ufunc
+    passes. A non-finite gradient aborts training with the offending
+    parameter named, since continuing would poison the moments; each chunk
+    is checked before it is updated, so an aborted step may already have
+    updated earlier parameters and earlier chunks of the named one.
     """
 
     def __init__(
@@ -41,13 +47,17 @@ class Adam:
             if p.grad is None:
                 raise ConfigurationError(f"Adam parameter {name!r} has no gradient array "
                                          "(built without requires_grad or under no_grad)")
+            if not p.data.flags.c_contiguous:
+                raise ConfigurationError(f"Adam parameter {name!r} is not C-contiguous, "
+                                         "so it cannot be updated through a flat view")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for _, p in self.params]
-        self._v = [np.zeros_like(p.data) for _, p in self.params]
+        self._m = [np.zeros(p.data.size) for _, p in self.params]
+        self._v = [np.zeros(p.data.size) for _, p in self.params]
+        self._scratch = (np.empty(_CHUNK), np.empty(_CHUNK))
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -58,12 +68,26 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for (name, p), m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingAborted(f"non-finite gradient in parameter {name!r} at step {self.t}")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for (name, p), m_all, v_all in zip(self.params, self._m, self._v):
+            # Keep the ufunc calls and their order, so each chunk is bit-identical to
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+            #   data -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            g_all, data_all = p.grad.reshape(-1), p.data.reshape(-1)
+            for lo in range(0, data_all.size, _CHUNK):
+                hi = min(lo + _CHUNK, data_all.size)
+                g, m, v, data = g_all[lo:hi], m_all[lo:hi], v_all[lo:hi], data_all[lo:hi]
+                if not np.isfinite(g).all():
+                    raise TrainingAborted(f"non-finite gradient in parameter {name!r} at step {self.t}")
+                s1, s2 = (buf[: hi - lo] for buf in self._scratch)
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=s1)
+                v *= b2
+                np.multiply(g, g, out=s1)
+                v += np.multiply(s1, 1.0 - b2, out=s1)
+                np.divide(m, bc1, out=s1)
+                s1 *= self.lr
+                np.divide(v, bc2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += self.eps
+                s1 /= s2
+                data -= s1

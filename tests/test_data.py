@@ -7,11 +7,15 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from capsroute.data import (
+    _BLOCK,
+    CHAMBER_ASPECT,
     CHAMBER_LEVEL,
+    CONE_APEX_ROW,
+    CONE_HALF_ANGLE_DEG,
+    CROP_ZOOMS,
     TISSUE_LEVEL,
     EchoDataset,
     SynthConfig,
-    _render_sample,
     _sample_rng,
     _scene,
     class_proportions,
@@ -46,12 +50,98 @@ def test_generate_is_bit_identical_across_calls():
     assert generate(cfg).same_as(generate(cfg))
 
 
+def _oracle_scene(h, w, zoom, cy, cx, width_px, angle_deg):
+    # One scene over a full [H, W] coordinate grid, from scalar parameters.
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    mid_y, mid_x = (h - 1) / 2.0, (w - 1) / 2.0
+    sy = mid_y + (yy - mid_y) * zoom
+    sx = mid_x + (xx - mid_x) * zoom
+    spread = np.tan(np.deg2rad(CONE_HALF_ANGLE_DEG))
+    cone = (sy >= CONE_APEX_ROW) & (np.abs(sx - (w - 1) / 2.0) <= spread * (sy - CONE_APEX_ROW))
+    theta = np.deg2rad(angle_deg)
+    dy, dx = sy - cy, sx - cx
+    major = np.cos(theta) * dx + np.sin(theta) * dy
+    minor = -np.sin(theta) * dx + np.cos(theta) * dy
+    a = CHAMBER_ASPECT * width_px / 2.0
+    b = width_px / 2.0
+    chamber = ((major / a) ** 2 + (minor / b) ** 2 <= 1.0) & cone
+    img = np.where(cone, TISSUE_LEVEL, 0.0)
+    img[chamber] = CHAMBER_LEVEL
+    return img, cone
+
+
+def per_sample_oracle(cfg, rotation_range=None, index_offset=0) -> EchoDataset:
+    """``generate`` one sample per pass: scalar ``uniform`` draws, one ``normal``
+    draw per channel, and a full coordinate grid per scene."""
+    n = cfg.n_samples
+    rot = rotation_range if rotation_range is not None else cfg.rotation_range_train
+    labels = np.zeros(n, dtype=np.uint8)
+    labels[: int(round(n * cfg.positive_ratio))] = 1
+    _sample_rng(cfg.seed, 2**63).shuffle(labels)
+    c, h, w = cfg.image_size
+    images = np.empty((n, c, h, w), dtype=np.float32)
+    regs = np.empty(n, dtype=np.float32)
+    for i in range(n):
+        rng = _sample_rng(cfg.seed, index_offset + i)
+        interval = cfg.width_dilated if labels[i] == 1 else cfg.width_normal
+        width_px = rng.uniform(interval[0], interval[1])
+        angle = rng.uniform(rot[0], rot[1])
+        jy = rng.uniform(-cfg.translation_range, cfg.translation_range)
+        jx = rng.uniform(-cfg.translation_range, cfg.translation_range)
+        cy, cx = 0.55 * (h - 1) + jy, (w - 1) / 2.0 + jx
+        for ch in range(c):
+            base, cone = _oracle_scene(h, w, CROP_ZOOMS[ch], cy, cx, width_px, angle)
+            noise = rng.normal(0.0, 1.0, size=(h, w))
+            images[i, ch] = np.clip(base + cfg.noise_sigma * noise * cone, 0.0, 1.0)
+        regs[i] = np.float32(width_px / h)
+    return EchoDataset(images, labels, regs)
+
+
+def assert_same_bytes(a: EchoDataset, b: EchoDataset) -> None:
+    for x, y in ((a.images, b.images), (a.labels, b.labels), (a.reg_targets, b.reg_targets)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK + 1])  # _BLOCK + 1 ends in a block of one
+@pytest.mark.parametrize("index_offset", [0, 2**40])
+@pytest.mark.parametrize("test_rotation", [False, True])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_generate_matches_the_per_sample_oracle_byte_for_byte(channels, test_rotation, index_offset, n):
+    cfg = small_cfg(n_samples=n, positive_ratio=0.4, image_size=(channels, 32, 32))
+    rot = cfg.rotation_range_test if test_rotation else None
+    assert_same_bytes(generate(cfg, rot, index_offset), per_sample_oracle(cfg, rot, index_offset))
+
+
+@pytest.mark.parametrize("translation_range", [2.0, 0.0])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_generate_matches_the_per_sample_oracle_on_a_non_square_image(channels, translation_range):
+    cfg = small_cfg(n_samples=_BLOCK + 3, image_size=(channels, 48, 40),
+                    translation_range=translation_range)
+    assert_same_bytes(generate(cfg, index_offset=5), per_sample_oracle(cfg, index_offset=5))
+
+
 def test_single_sample_stream_is_counter_based():
-    cfg = small_cfg()
-    a = _render_sample(cfg, _sample_rng(cfg.seed, 7), 1, cfg.rotation_range_train)
-    b = _render_sample(cfg, _sample_rng(cfg.seed, 7), 1, cfg.rotation_range_train)
-    assert_array_equal(a[0], b[0])
-    assert a[1] == b[1]
+    # Sample p of an offset-7 set draws from stream 7 + p, as sample 7 + p of
+    # an unshifted set does, though the two fall at different block positions.
+    cfg = small_cfg(n_samples=_BLOCK + 9)
+    base, shifted = generate(cfg), generate(cfg, index_offset=7)
+    same_label = np.flatnonzero(shifted.labels[:-7] == base.labels[7:])
+    assert same_label.size > 0
+    assert_array_equal(shifted.images[same_label], base.images[same_label + 7])
+    assert_array_equal(shifted.reg_targets[same_label], base.reg_targets[same_label + 7])
+
+
+@pytest.mark.parametrize("index_offset", [-1, 2**63 - 3])
+def test_generate_rejects_an_index_offset_outside_the_sample_streams(index_offset):
+    # Stream 2**63 is the label shuffle's; sample indices must stay below it.
+    with pytest.raises(ConfigurationError, match="index_offset"):
+        generate(small_cfg(n_samples=4, positive_ratio=0.5), index_offset=index_offset)
+
+
+def test_generate_accepts_the_last_sample_streams():
+    ds = generate(small_cfg(n_samples=4, positive_ratio=0.5), index_offset=2**63 - 4)
+    assert len(ds) == 4
 
 
 def test_index_offset_shifts_sample_streams_only():

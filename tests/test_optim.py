@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from capsroute.errors import ConfigurationError, TrainingAborted
+from capsroute import optim
 from capsroute.optim import Adam
 from capsroute.tensor import Tensor, no_grad
 
@@ -79,6 +80,53 @@ def test_non_finite_gradient_aborts_naming_parameter():
     with pytest.raises(TrainingAborted) as err:
         opt.step()
     assert "head.bias" in str(err.value)
+
+
+def longhand_adam(values, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The unchunked per-parameter update, one whole-array expression per line."""
+    x, m, v = values.copy(), np.zeros_like(values), np.zeros_like(values)
+    for t, g in enumerate(grads, start=1):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        x -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return x
+
+
+def test_steps_across_chunk_boundaries_match_the_unchunked_update_exactly(monkeypatch):
+    monkeypatch.setattr(optim, "_CHUNK", 3)
+    rng = np.random.default_rng(4)
+    sizes = (1, 3, 7)  # within one chunk, exactly one, and across three
+    start = [rng.normal(size=n) for n in sizes]
+    grads = [[rng.normal(size=n) for _ in range(5)] for n in sizes]
+    params = [param(x) for x in start]
+    opt = Adam([(f"p{n}", p) for n, p in zip(sizes, params)], lr=0.01)
+    for step in range(5):
+        for p, g in zip(params, grads):
+            p.grad[...] = g[step]
+        opt.step()
+    for p, x, g in zip(params, start, grads):
+        assert_allclose(p.data, longhand_adam(x, g, lr=0.01), rtol=0, atol=0)
+
+
+def test_non_finite_gradient_in_a_later_chunk_names_its_parameter(monkeypatch):
+    monkeypatch.setattr(optim, "_CHUNK", 3)
+    params = [param(np.ones(n)) for n in (1, 3, 7)]
+    opt = Adam([("a", params[0]), ("b", params[1]), ("c", params[2])], lr=0.1)
+    for p in params:
+        p.grad.fill(0.5)
+    params[2].grad[7 - 1] = np.inf  # the third chunk of "c"
+    with pytest.raises(TrainingAborted, match="'c' at step 1"):
+        opt.step()
+    assert_array_equal(params[2].data[6:], [1.0])  # the chunk holding it is not updated
+
+
+def test_rejects_a_parameter_that_is_not_c_contiguous():
+    p = Tensor(np.asfortranarray(np.ones((2, 3))), requires_grad=True)
+    assert not p.data.flags.c_contiguous
+    with pytest.raises(ConfigurationError, match="'w' is not C-contiguous"):
+        Adam([("w", p)])
 
 
 def test_step_leaves_the_array_a_parameter_was_built_from_alone():
