@@ -128,8 +128,7 @@ class PrimaryCapsules:
         self.weight, self.bias = conv_params(out_channels, in_channels, kernel, rng)
 
     def __call__(self, features: Tensor) -> CapsuleBank:
-        z = conv2d(features, self.weight, stride=self.stride)
-        z = z + self.bias.reshape((1, self.bias.size, 1, 1))
+        z = conv2d(features, self.weight, self.bias, stride=self.stride)
         bsz, ch, hg, wg = z.shape
         caps = z.reshape((bsz, self.caps_per_cell, self.d, hg, wg))
         caps = caps.transpose((0, 3, 4, 1, 2))
@@ -203,8 +202,7 @@ class ConvAffine:
         bsz = u.shape[0]
         fmap = u.reshape((bsz, hg, wg, cpl, self.d_in))
         fmap = fmap.transpose((0, 3, 4, 1, 2)).reshape((bsz, cpl * self.d_in, hg, wg))
-        z = conv2d(fmap, self.weight, stride=1, padding=1)
-        z = z + self.bias.reshape((1, self.bias.size, 1, 1))
+        z = conv2d(fmap, self.weight, self.bias, padding=1)
         votes = z.reshape((bsz, cpl, self.n_out, self.d_out, hg, wg))
         votes = votes.transpose((0, 4, 5, 1, 2, 3))
         return votes.reshape((bsz, hg * wg * cpl, self.n_out, self.d_out))

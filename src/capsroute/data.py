@@ -119,6 +119,22 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _seek(rng: np.random.Generator, seed: int, index: int) -> None:
+    """Restart ``rng``'s Philox on the stream ``_sample_rng(seed, index)`` begins.
+
+    Building a Philox also seeds an unused ``SeedSequence`` from OS entropy,
+    which costs several times more than resetting the state of one.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, index], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _scene(h: int, w: int, zoom: float, cy, cx, width_px, angle_deg):
     """Rasterize one channel; returns (image without noise, chamber mask, cone mask).
 
@@ -181,7 +197,8 @@ def generate(
         )
     labels = np.zeros(n, dtype=np.uint8)
     labels[:n_pos] = 1
-    _sample_rng(cfg.seed, _SHUFFLE_STREAM).shuffle(labels)
+    rng = _sample_rng(cfg.seed, _SHUFFLE_STREAM)
+    rng.shuffle(labels)
 
     c, h, w = cfg.image_size
     t = cfg.translation_range
@@ -193,7 +210,7 @@ def generate(
         u = np.empty((stop - start, 4))
         noise = np.empty((stop - start, c, h, w))
         for k in range(stop - start):
-            rng = _sample_rng(cfg.seed, index_offset + start + k)
+            _seek(rng, cfg.seed, index_offset + start + k)
             # Draw order is part of the format: width, angle, dy, dx, then the
             # noise of each channel. uniform(lo, hi) is lo + (hi - lo) * random().
             rng.random(out=u[k])

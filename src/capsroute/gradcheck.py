@@ -175,6 +175,9 @@ def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradChec
     cmask = leaf(2, 4, 4, 4)
     op("op.conv2d", cx, lambda: (T.conv2d(cx, cw, stride=2, padding=1) * cmask).sum())
     op("op.conv2d_kernel", cw, lambda: (T.conv2d(cx, cw, stride=2, padding=1) * cmask).sum())
+    # Drawn without the rng, so that every later check sees the inputs it always did.
+    cb = Tensor(np.linspace(-0.5, 0.5, 4), requires_grad=True)
+    op("op.conv2d_bias", cb, lambda: (T.conv2d(cx, cw, cb, stride=2, padding=1) * cmask).sum())
     px = leaf(2, 3, 6, 6)
     op("op.maxpool2d", px, lambda: T.square(T.maxpool2d(px, 2)).sum())
 

@@ -131,7 +131,7 @@ class CapsuleClassifier:
 
     def digit_caps(self, images: Tensor) -> Tensor:
         """Digit capsules [B, n_classes, d_digit]: stem, primary capsules, votes, routing."""
-        x = relu(conv2d(images, self.conv_weight) + self.conv_bias.reshape((1, -1, 1, 1)))
+        x = relu(conv2d(images, self.conv_weight, self.conv_bias))
         return self.routing(self.affine(self.primary(x)))[0].activations
 
     def training_loss(self, images: Tensor, labels: np.ndarray, reg_targets: np.ndarray):
@@ -193,10 +193,10 @@ class CnnClassifier:
         self.fc = _Linear(hd * h2 * w2, cfg.n_classes, rng, gain="linear")
 
     def forward(self, images: Tensor) -> Tensor:
-        x = relu(conv2d(images, self.w1) + self.b1.reshape((1, -1, 1, 1)))
+        x = relu(conv2d(images, self.w1, self.b1))
         if self.pool_each:
             x = maxpool2d(x, 2)
-        x = relu(conv2d(x, self.w2) + self.b2.reshape((1, -1, 1, 1)))
+        x = relu(conv2d(x, self.w2, self.b2))
         x = maxpool2d(x, 2)
         x = x.reshape((x.shape[0], -1))
         return self.fc(x)

@@ -435,13 +435,20 @@ def transpose(a, axes) -> Tensor:
 
 
 # ------------------------------------------------------------------- convolution
-def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of [B, C_in, H, W] with kernels [C_out, C_in, k, k].
+def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation of [B, C_in, H, W] with kernels [C_out, C_in, k, k],
+    plus an optional per-channel ``bias`` [C_out].
 
-    The patch matrix is gathered one block of images at a time into one reused
+    The input is read channels-last, so each kernel row of a patch is one
+    contiguous run of k*C_in values, and the patch matrix, in [k, k, C_in]
+    column order, is gathered one block of images at a time into one reused
     buffer of at most ``_PATCH_BYTES`` (one image if a single image's patches
-    are larger), and each block's GEMM reads it while it is still in cache. So
-    the op's extra memory is that buffer, not the whole batch's patch matrix.
+    are larger). Each block is one flat GEMM that reads the buffer while it is
+    still in cache, and the bias is added to the block's output there. So the
+    op's extra memory is that buffer, not the whole batch's patch matrix.
+    BLAS may order a short product's sums otherwise than a long one's, so an
+    image's output can differ in its last bits with the size of its block;
+    the blocks follow from the shapes alone, so a batch's output does not vary.
 
     The kernel gradient gathers each block again, unless it is still in the
     buffer, and adds each image's ``cols_b.T @ g_b`` into one zeroed
@@ -458,6 +465,10 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv2d: kernels must be square, got {w.shape}")
     if x.shape[1] != c_in:
         raise DimensionError(f"conv2d: input has {x.shape[1]} channels but kernel expects {c_in}")
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (c_out,):
+            raise DimensionError(f"conv2d: bias must have shape ({c_out},), got {bias.shape}")
     s, p = int(stride), int(padding)
     if s < 1 or p < 0:
         raise ContractError(f"conv2d: need stride >= 1 and padding >= 0, got {stride}, {padding}")
@@ -466,13 +477,15 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     if k > hp or k > wp:
         raise DimensionError(f"conv2d: kernel {k} exceeds padded input {hp}x{wp}")
     ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    patches = windows.transpose(0, 2, 3, 1, 4, 5)  # [B, ho, wo, C_in, k, k]
-    n_rows, n_cols = ho * wo, c_in * k * k
+    # A copy only when x is not channels-last in memory already, as a conv's output is.
+    xl = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))  # [B, H, W, C_in]
+    xp = np.pad(xl, ((0, 0), (p, p), (p, p), (0, 0))) if p else xl
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    patches = windows.transpose(0, 1, 2, 4, 5, 3)  # [B, ho, wo, k, k, C_in]
+    n_rows, n_cols = ho * wo, k * k * c_in
     per_block = min(bsz, max(1, _PATCH_BYTES // (n_rows * n_cols * 8)))
     blocks = [slice(b, min(b + per_block, bsz)) for b in range(0, bsz, per_block)]
-    cols_buf = np.empty((per_block, ho, wo, c_in, k, k))
+    cols_buf = np.empty((per_block, ho, wo, k, k, c_in))
     held = None  # the block whose patches are in cols_buf
 
     def gather(blk):
@@ -483,10 +496,13 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
             held = blk
         return cols.reshape(-1, n_rows, n_cols)
 
-    flat = w.data.reshape(c_out, n_cols)
+    flat = w.data.transpose(0, 2, 3, 1).reshape(c_out, n_cols)  # [C_out, k*k*C_in]
     out = np.empty((bsz, n_rows, c_out))
     for blk in blocks:
-        np.matmul(gather(blk), flat.T, out=out[blk])
+        out_blk = out[blk]
+        np.matmul(gather(blk).reshape(-1, n_cols), flat.T, out=out_blk.reshape(-1, c_out))
+        if bias is not None:
+            out_blk += bias.data
 
     def rows(g):
         return g.reshape(bsz, c_out, n_rows).transpose(0, 2, 1)  # [B, ho*wo, C_out]
@@ -499,8 +515,8 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         else:
             # A one-row or one-column GEMM takes BLAS's matrix-vector path,
             # which sums in another order; keep the k*k-wide product.
-            g_cols = np.matmul(rows(g), flat).reshape(bsz * n_rows, c_in, k * k)
-            terms = (g_cols[..., n] for n in range(k * k))
+            g_cols = np.matmul(rows(g), flat).reshape(bsz * n_rows, k * k, c_in)
+            terms = (g_cols[:, n] for n in range(k * k))
         buf = np.zeros((bsz, hp, wp, c_in))
         for (i, j), term in zip(np.ndindex(k, k), terms):
             buf[:, i : i + s * ho : s, j : j + s * wo : s] += term.reshape(bsz, ho, wo, c_in)
@@ -511,9 +527,12 @@ def conv2d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
         for blk in blocks:
             for cols_b, g_b in zip(gather(blk), g_rows[blk]):
                 acc += np.matmul(cols_b.T, g_b, out=prod)
-        return acc.T.reshape(w.shape)
+        return acc.T.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2)
 
-    return _from_op(out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo), (x, grad_x), (w, grad_w))
+    inputs = [(x, grad_x), (w, grad_w)]
+    if bias is not None:
+        inputs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
+    return _from_op(out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo), *inputs)
 
 
 def maxpool2d(a, kernel: int) -> Tensor:

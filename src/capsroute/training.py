@@ -1,15 +1,14 @@
 """Training loop with early stopping, deterministic records, and evaluation.
 
-Determinism contract: given identical data, configuration, seed and BLAS
-thread count, two runs, in one process or in two, produce identical parameters
-and an identical ``canonical_text()`` record. Wall-clock timings are recorded
-but live outside the canonical serialization, since they are the one field
-that legitimately differs between runs. Training is single-threaded by
-design; parallel speed-ups would reorder float accumulation and break the
-contract. A multi-threaded BLAS can do that inside a GEMM: across 1 and 2
-OpenBLAS threads, ``cnn2`` (on 1 or 3 channels) and ``cardiocaps`` at
-``hidden_dim=16`` train to parameters that agree only to about 1e-11, while
-``cardiocaps`` at the default ``hidden_dim=32`` and ``cnn1`` stay bit-identical.
+Determinism contract: given identical data, configuration and seed, two
+runs, in one process or in two, produce identical parameters and an
+identical ``canonical_text()`` record. Wall-clock timings are recorded but
+live outside the canonical serialization, since they are the one field that
+legitimately differs between runs. Training is single-threaded by design;
+parallel speed-ups would reorder float accumulation and break the contract.
+A multi-threaded BLAS would do that inside a GEMM, so ``train``,
+``validation_loss`` and ``evaluate`` run at one BLAS thread whatever the
+caller's thread count (see ``blas.one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .data import EchoDataset
 from .errors import ConfigurationError
 from .metrics import MetricsReport, format_value
@@ -111,6 +111,7 @@ def _batches(dataset: EchoDataset, batch_size: int, order: np.ndarray | None = N
         yield images, dataset.labels[idx], dataset.reg_targets[idx]
 
 
+@one_blas_thread()
 def validation_loss(model, dataset: EchoDataset, batch_size: int = 64) -> float:
     """Sample-weighted mean training objective over a dataset, without gradients."""
     total = 0.0
@@ -121,6 +122,7 @@ def validation_loss(model, dataset: EchoDataset, batch_size: int = 64) -> float:
     return total / len(dataset)
 
 
+@one_blas_thread()
 def train(
     model,
     train_set: EchoDataset,
@@ -181,6 +183,7 @@ def train(
     return record
 
 
+@one_blas_thread()
 def evaluate(model, dataset: EchoDataset, batch_size: int = 64) -> MetricsReport:
     """Run the model over a dataset in order and summarize the predictions."""
     if len(dataset) == 0:

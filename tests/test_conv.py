@@ -45,8 +45,7 @@ def maxpool_loop_oracle(x, k):
 
 
 def biased_conv(x, w, b, stride=1, padding=0):
-    out = T.conv2d(x, w, stride=stride, padding=padding)
-    return out + b.reshape((1, b.size, 1, 1))
+    return T.conv2d(x, w, b, stride=stride, padding=padding)
 
 
 def test_one_by_one_unit_kernel_is_identity():
@@ -109,22 +108,47 @@ def test_strided_padded_conv_gradients():
         assert relative_error(p.grad, fd_gradient(run, p)) < 1e-6
 
 
-def composed_conv_oracle(x, w, g, stride, padding):
-    """The gather / batched-matmul / strided-scatter composition, in plain numpy.
-
-    Returns the output, the input gradient and the kernel gradient for the
-    upstream gradient ``g``; the fused op must reproduce all three bit for bit.
-    """
+def patch_windows(x, k, stride, padding):
+    """[B, C_in, ho, wo, k, k] views of the padded input's patches."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    bsz, cin, hp, wp = xp.shape
-    cout, _, k, _ = w.shape
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
+    return xp, windows[:, :, ::stride, ::stride]
+
+
+def channels_first_conv(x, w, stride, padding):
+    """The forward as a batched matmul over [C_in, k, k] patch columns."""
+    _, windows = patch_windows(x, w.shape[2], stride, padding)
+    bsz, cin, ho, wo, k, _ = windows.shape
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, cin * k * k)
+    flat = w.reshape(w.shape[0], cin * k * k)
+    return np.matmul(cols, flat.T).transpose(0, 2, 1).reshape(bsz, w.shape[0], ho, wo)
+
+
+def composed_conv_oracle(x, w, g, stride, padding):
+    """The gather / matmul / strided-scatter composition, in plain numpy.
+
+    The forward reads channels-last patches in [k, k, C_in] column order. The
+    gradients use [C_in, k, k] columns: each of their sums runs over output
+    positions or channels, not over columns, so the column order cannot
+    change them. Returns the output, the input gradient and the kernel
+    gradient for the upstream gradient ``g``; the fused op must reproduce all
+    three bit for bit.
+    """
+    xp, windows = patch_windows(x, w.shape[2], stride, padding)
+    bsz, cin, ho, wo, k, _ = windows.shape
+    cout = w.shape[0]
+    n_cols = k * k * cin
+    cols_last = np.ascontiguousarray(windows.transpose(0, 2, 3, 4, 5, 1)).reshape(bsz, -1, n_cols)
+    flat_last = w.transpose(0, 2, 3, 1).reshape(cout, n_cols)
+    # BLAS may sum a short product in another order than a long one, so the
+    # forward multiplies the op's blocks of images, one flat product each.
+    per_block = min(bsz, max(1, T._PATCH_BYTES // (ho * wo * n_cols * 8)))
+    out = np.concatenate([np.matmul(cols_last[b : b + per_block].reshape(-1, n_cols), flat_last.T)
+                          for b in range(0, bsz, per_block)])
+    out = out.reshape(bsz, ho * wo, cout).transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, ho * wo, cin * k * k)
     cols = np.ascontiguousarray(cols)
     flat = w.reshape(cout, cin * k * k)
-    out = np.matmul(cols, flat.T).transpose(0, 2, 1).reshape(bsz, cout, ho, wo)
     g_rows = g.reshape(bsz, cout, ho * wo).transpose(0, 2, 1)
     g_cols = np.matmul(g_rows, flat).reshape(bsz, ho, wo, cin, k, k)
     gxp = np.zeros_like(xp)
@@ -192,6 +216,61 @@ def test_conv_spanning_several_patch_blocks_is_bit_identical(stride, padding):
     x = rng.normal(size=(bsz, cin, size, size))
     w = rng.normal(size=(8, cin, k, k))
     assert_conv_matches_composed_oracle(x, w, stride, padding, rng)
+
+
+@pytest.mark.parametrize(
+    "bsz,cin,size,k,stride,padding",
+    [(8, 1, 32, 9, 1, 0), (8, 32, 24, 9, 2, 0), (5, 3, 13, 5, 1, 2), (2, 16, 8, 3, 1, 1)],
+)
+def test_channels_last_forward_is_close_to_channels_first_composition(
+    bsz, cin, size, k, stride, padding
+):
+    # Only the order of the forward's sum over patch columns changed.
+    rng = np.random.default_rng(cin + k)
+    x = rng.normal(size=(bsz, cin, size, size))
+    w = rng.normal(size=(4, cin, k, k))
+    got = T.conv2d(x, w, stride=stride, padding=padding).data
+    want = channels_first_conv(x, w, stride, padding)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "bsz,cin,size,k,stride,padding",
+    [(1, 3, 8, 3, 1, 0), (2, 4, 9, 3, 2, 1), (8, 4, 6, 5, 2, 0), (5, 32, 13, 9, 1, 0)],
+)
+def test_fused_bias_is_bit_identical_to_adding_it_after(bsz, cin, size, k, stride, padding):
+    rng = np.random.default_rng(bsz + cin + k)
+    x = rng.normal(size=(bsz, cin, size, size))
+    w = rng.normal(size=(6, cin, k, k))
+    b = rng.normal(size=6)
+    ho = (size + 2 * padding - k) // stride + 1
+    g = rng.normal(size=(bsz, 6, ho, ho))
+
+    def fused(xt, wt, bt):
+        return T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+
+    def composed(xt, wt, bt):
+        return T.conv2d(xt, wt, stride=stride, padding=padding) + bt.reshape((1, -1, 1, 1))
+
+    runs = []
+    for conv in (fused, composed):
+        xt, wt, bt = leaf(x), leaf(w), leaf(b)
+        out = conv(xt, wt, bt)
+        (out * g).sum().backward()
+        with T.no_grad():
+            constant = conv(xt, wt, bt)
+        assert constant.grad is None and not constant.requires_grad
+        runs.append((out.data, constant.data, xt.grad, wt.grad, bt.grad))
+    for got, want in zip(*runs):
+        assert_array_equal(got, want)
+
+
+def test_conv_rejects_a_bias_of_the_wrong_shape():
+    x, w = np.ones((1, 2, 5, 5)), np.ones((3, 2, 3, 3))
+    with pytest.raises(DimensionError, match="bias"):
+        T.conv2d(x, w, np.ones(4))
+    with pytest.raises(DimensionError, match="bias"):
+        T.conv2d(x, w, np.ones((1, 3, 1, 1)))
 
 
 def test_conv_patch_memory_is_bounded_by_the_block_buffer():

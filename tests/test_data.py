@@ -18,6 +18,7 @@ from capsroute.data import (
     SynthConfig,
     _sample_rng,
     _scene,
+    _seek,
     class_proportions,
     generate,
     load,
@@ -130,6 +131,19 @@ def test_single_sample_stream_is_counter_based():
     assert same_label.size > 0
     assert_array_equal(shifted.images[same_label], base.images[same_label + 7])
     assert_array_equal(shifted.reg_targets[same_label], base.reg_targets[same_label + 7])
+
+
+@pytest.mark.parametrize("index", [3, 2**62])
+def test_seek_restarts_a_used_generator_on_a_fresh_stream(index):
+    rng = _sample_rng(7, 99)
+    rng.integers(0, 10, size=3, dtype=np.uint32)  # leaves a buffered half word
+    rng.random()
+    _seek(rng, 7, index)
+    fresh = _sample_rng(7, index)
+    assert_array_equal(rng.integers(0, 2**32, size=5, dtype=np.uint32),
+                       fresh.integers(0, 2**32, size=5, dtype=np.uint32))
+    assert_array_equal(rng.standard_normal(100), fresh.standard_normal(100))
+    assert rng.random() == fresh.random()
 
 
 @pytest.mark.parametrize("index_offset", [-1, 2**63 - 3])

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 import capsroute
+from capsroute import blas
 from capsroute import (
     ConfigurationError,
     EchoDataset,
@@ -362,10 +363,11 @@ def test_records_are_identical_across_processes_and_blas_threads():
     assert one_thread == two_threads
 
 
-# The same training settings for the two models whose BLAS GEMMs split their
-# sums by thread count: cnn2 on 3-channel images, and cardiocaps at
-# hidden_dim=16 (16 primary-capsule output channels). Prints both canonical
-# records and saves every parameter to the .npz path in argv[1].
+# The same training settings for the two models whose GEMMs OpenBLAS splits
+# by thread count, so that only training at one pinned BLAS thread keeps them
+# identical: cnn2 on 3-channel images, and cardiocaps at hidden_dim=16 (16
+# primary-capsule output channels). Prints both canonical records and saves
+# every parameter to the .npz path in argv[1].
 _THREAD_SENSITIVE_RUN = """
 import sys
 import numpy as np
@@ -388,21 +390,75 @@ np.savez(sys.argv[1], **params)
 """
 
 
-def test_thread_sensitive_models_are_identical_per_thread_count_and_close_across(tmp_path):
-    params = {}
-    for threads in (1, 2):
-        paths = [tmp_path / f"threads{threads}-run{k}.npz" for k in (0, 1)]
-        first, second = (_run_in_process(_THREAD_SENSITIVE_RUN, threads, str(p)) for p in paths)
-        assert first.count("[epochs]") == 2  # both records were printed
-        assert first == second
-        with np.load(paths[0]) as a, np.load(paths[1]) as b:
-            assert a.files == b.files
-            for name in a.files:
-                assert_array_equal(a[name], b[name], err_msg=name)
-            params[threads] = dict(a)
-    # Across thread counts the GEMMs add in another order: close, not identical.
-    for name, one_thread in params[1].items():
-        assert_allclose(params[2][name], one_thread, rtol=0, atol=1e-9, err_msg=name)
+def test_thread_sensitive_models_are_identical_across_blas_thread_counts(tmp_path):
+    records, params = [], []
+    for threads in (1, 2, 1, 2):
+        path = tmp_path / f"run{len(records)}-threads{threads}.npz"
+        records.append(_run_in_process(_THREAD_SENSITIVE_RUN, threads, str(path)))
+        with np.load(path) as saved:
+            params.append(dict(saved))
+    assert records[0].count("[epochs]") == 2  # both records were printed
+    for record, saved in zip(records[1:], params[1:]):
+        assert record == records[0]
+        assert saved.keys() == params[0].keys()
+        for name, value in saved.items():
+            assert_array_equal(value, params[0][name], err_msg=name)
+
+
+class _ThreadProbe:
+    """A model whose losses and predictions record the BLAS thread count they ran at."""
+
+    def __init__(self, model, get_threads):
+        self.model, self.get_threads, self.seen = model, get_threads, []
+
+    def parameters(self):
+        return self.model.parameters()
+
+    def training_loss(self, *batch):
+        self.seen.append(self.get_threads())
+        return self.model.training_loss(*batch)
+
+    def predict(self, images):
+        self.seen.append(self.get_threads())
+        return self.model.predict(images)
+
+
+def test_training_and_evaluation_pin_one_blas_thread_and_restore_the_callers():
+    lib = blas._openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS exports no thread-count functions")
+    get_threads, set_threads = lib
+    train_set, val_set, _ = tiny_splits()
+    tc = TrainConfig(lr=3e-3, batch_size=8, max_epochs=1, patience=1, seed=11)
+    prior = get_threads()
+    set_threads(2)
+    try:
+        probe = _ThreadProbe(tiny_model(), get_threads)
+        train(probe, train_set, val_set, tc)
+        assert get_threads() == 2
+        evaluate(probe, val_set)
+        assert get_threads() == 2
+        assert len(probe.seen) > 2 and set(probe.seen) == {1}
+
+        def fail(*batch):
+            raise FloatingPointError("loss diverged")
+
+        probe.training_loss = fail
+        with pytest.raises(FloatingPointError):
+            train(probe, train_set, val_set, tc)
+        assert get_threads() == 2
+    finally:
+        set_threads(prior)
+
+
+def test_blas_pin_warns_and_does_nothing_without_thread_functions(monkeypatch):
+    # An extension that links no BLAS exports neither function.
+    with pytest.warns(UserWarning, match="not pinned"):
+        assert blas._load(np.random._philox.__file__) is None
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    train_set, val_set, _ = tiny_splits()
+    tc = TrainConfig(lr=3e-3, batch_size=8, max_epochs=1, patience=1, seed=11)
+    assert len(train(tiny_model(), train_set, val_set, tc).epochs) == 1
 
 
 @pytest.mark.parametrize(
