@@ -178,6 +178,17 @@ def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradChec
     # Drawn without the rng, so that every later check sees the inputs it always did.
     cb = Tensor(np.linspace(-0.5, 0.5, 4), requires_grad=True)
     op("op.conv2d_bias", cb, lambda: (T.conv2d(cx, cw, cb, stride=2, padding=1) * cmask).sum())
+    # Also built without the rng: quarter-integer inputs and kernels with a bias of odd
+    # 32nds keep every pre-activation at least 1/32 from the ReLU's kink, far beyond the step.
+    rx = Tensor((np.arange(2 * 3 * 8 * 8) * 5 % 9 - 4.0).reshape(2, 3, 8, 8) / 4, requires_grad=True)
+    rw = Tensor((np.arange(4 * 3 * 3 * 3) * 7 % 5 - 2.0).reshape(4, 3, 3, 3) / 4, requires_grad=True)
+    rb = Tensor((np.arange(4) - 1.5) / 16, requires_grad=True)
+
+    def conv_relu():
+        return (T.conv2d(rx, rw, rb, stride=2, padding=1, relu=True) * cmask).sum()
+
+    for name, param in (("", rx), ("_kernel", rw), ("_bias", rb)):
+        op(f"op.conv2d_relu{name}", param, conv_relu)
     px = leaf(2, 3, 6, 6)
     op("op.maxpool2d", px, lambda: T.square(T.maxpool2d(px, 2)).sum())
 

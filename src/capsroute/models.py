@@ -37,7 +37,7 @@ from .losses import (
     weighted_capsule_loss,
     weighted_cross_entropy,
 )
-from .tensor import Tensor, conv2d, maxpool2d, relu, softmax, vector_norm
+from .tensor import Tensor, conv2d, maxpool2d, softmax, vector_norm
 
 __all__ = ["ModelConfig", "CapsuleClassifier", "CnnClassifier", "build_model",
            "parameter_count", "save_params", "load_params"]
@@ -131,7 +131,7 @@ class CapsuleClassifier:
 
     def digit_caps(self, images: Tensor) -> Tensor:
         """Digit capsules [B, n_classes, d_digit]: stem, primary capsules, votes, routing."""
-        x = relu(conv2d(images, self.conv_weight, self.conv_bias))
+        x = conv2d(images, self.conv_weight, self.conv_bias, relu=True)
         return self.routing(self.affine(self.primary(x)))[0].activations
 
     def training_loss(self, images: Tensor, labels: np.ndarray, reg_targets: np.ndarray):
@@ -193,10 +193,10 @@ class CnnClassifier:
         self.fc = _Linear(hd * h2 * w2, cfg.n_classes, rng, gain="linear")
 
     def forward(self, images: Tensor) -> Tensor:
-        x = relu(conv2d(images, self.w1, self.b1))
+        x = conv2d(images, self.w1, self.b1, relu=True)
         if self.pool_each:
             x = maxpool2d(x, 2)
-        x = relu(conv2d(x, self.w2, self.b2))
+        x = conv2d(x, self.w2, self.b2, relu=True)
         x = maxpool2d(x, 2)
         x = x.reshape((x.shape[0], -1))
         return self.fc(x)

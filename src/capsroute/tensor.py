@@ -435,17 +435,20 @@ def transpose(a, axes) -> Tensor:
 
 
 # ------------------------------------------------------------------- convolution
-def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
     """2-D cross-correlation of [B, C_in, H, W] with kernels [C_out, C_in, k, k],
-    plus an optional per-channel ``bias`` [C_out].
+    plus an optional per-channel ``bias`` [C_out], then ``relu`` if asked.
 
     The input is read channels-last, so each kernel row of a patch is one
     contiguous run of k*C_in values, and the patch matrix, in [k, k, C_in]
     column order, is gathered one block of images at a time into one reused
     buffer of at most ``_PATCH_BYTES`` (one image if a single image's patches
     are larger). Each block is one flat GEMM that reads the buffer while it is
-    still in cache, and the bias is added to the block's output there. So the
-    op's extra memory is that buffer, not the whole batch's patch matrix.
+    still in cache, and the bias is added to the block's output there. With
+    ``relu`` the block's output is then multiplied in place by its mask
+    ``> 0``, the ``relu`` op's ufunc, so the result is ``relu(conv2d(...))``
+    bit for bit, signed zeros and NaN included. So the op's extra memory is
+    that buffer, not the whole batch's patch matrix nor a second output.
     BLAS may order a short product's sums otherwise than a long one's, so an
     image's output can differ in its last bits with the size of its block;
     the blocks follow from the shapes alone, so a batch's output does not vary.
@@ -455,7 +458,10 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     accumulator in batch order. That is the order of a sum over the batch axis
     of the per-image products, so the result does not depend on the block size.
     The input gradient adds ``g @ w[:, :, i, j]`` per kernel offset (i, j) in
-    lexicographic order, as a patch scatter would.
+    lexicographic order, as a patch scatter would. After a ``relu`` the output
+    is positive exactly where the pre-activation was, so the input, kernel and
+    bias gradients all start from one ``g * (output > 0)``, computed once per
+    backward from the output; the forward stores no mask.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -503,6 +509,9 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         np.matmul(gather(blk).reshape(-1, n_cols), flat.T, out=out_blk.reshape(-1, c_out))
         if bias is not None:
             out_blk += bias.data
+        if relu:
+            np.multiply(out_blk, out_blk > 0, out=out_blk)
+    y = out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo)
 
     def rows(g):
         return g.reshape(bsz, c_out, n_rows).transpose(0, 2, 1)  # [B, ho*wo, C_out]
@@ -532,7 +541,29 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     inputs = [(x, grad_x), (w, grad_w)]
     if bias is not None:
         inputs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
-    return _from_op(out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo), *inputs)
+    if relu:
+        inputs = _gated(inputs, y)
+    return _from_op(y, *inputs)
+
+
+def _gated(inputs, y):
+    """``inputs`` with each gradient function fed ``g * (y > 0)`` for the output
+    gradient ``g``. The first function to run computes the product; the last
+    input that needs a gradient releases it, so the graph keeps no copy."""
+    last = max((n for n, (t, _) in enumerate(inputs) if t.requires_grad), default=-1)
+    held = []  # [g, g * (y > 0)] for the gradient being passed back
+
+    def gate(n, fn):
+        def grad_fn(g):
+            if not held or held[0] is not g:
+                held[:] = [g, g * (y > 0)]
+            g_pre = held[1]
+            if n == last:
+                held.clear()
+            return fn(g_pre)
+        return grad_fn
+
+    return [(t, gate(n, fn)) for n, (t, fn) in enumerate(inputs)]
 
 
 def maxpool2d(a, kernel: int) -> Tensor:

@@ -111,9 +111,17 @@ def _batches(dataset: EchoDataset, batch_size: int, order: np.ndarray | None = N
         yield images, dataset.labels[idx], dataset.reg_targets[idx]
 
 
+def _check_eval_args(fn: str, dataset: EchoDataset, batch_size: int) -> None:
+    if len(dataset) == 0:
+        raise ConfigurationError(f"{fn}() needs a non-empty dataset")
+    if batch_size < 1:
+        raise ConfigurationError(f"{fn}() needs batch_size >= 1, got {batch_size}")
+
+
 @one_blas_thread()
 def validation_loss(model, dataset: EchoDataset, batch_size: int = 64) -> float:
     """Sample-weighted mean training objective over a dataset, without gradients."""
+    _check_eval_args("validation_loss", dataset, batch_size)
     total = 0.0
     with no_grad():
         for images, labels, targets in _batches(dataset, batch_size):
@@ -186,8 +194,7 @@ def train(
 @one_blas_thread()
 def evaluate(model, dataset: EchoDataset, batch_size: int = 64) -> MetricsReport:
     """Run the model over a dataset in order and summarize the predictions."""
-    if len(dataset) == 0:
-        raise ConfigurationError("evaluate() needs a non-empty dataset")
+    _check_eval_args("evaluate", dataset, batch_size)
     preds, scores = [], []
     with no_grad():
         for images, _, _ in _batches(dataset, batch_size):

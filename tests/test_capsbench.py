@@ -25,6 +25,7 @@ from capsroute import (
     split,
     train,
 )
+from capsroute.tensor import conv2d, no_grad
 
 CAPSBENCH = Path(__file__).resolve().parent.parent / "capsbench"
 
@@ -72,3 +73,18 @@ def test_capsbench_runs_on_the_library(bench, method):
 
     votes = Tensor(np.random.default_rng(6).normal(size=(2, 5, 2, 16)))
     assert tracing.make_routing(spec, 16)(votes)[0].activations.shape == (2, 2, 16)
+
+
+def test_capsbench_stem_is_the_models_fused_stem(bench):
+    # The traced stages feed capsules.primary what the model's own stem computes.
+    tracing, _ = bench
+    model = _model(RoutingSpec())
+    images = Tensor(np.random.default_rng(7).normal(size=(4, 1, 20, 20)))
+    with no_grad():
+        traced = tracing._stem(model, images)
+        fused = conv2d(images, model.conv_weight, model.conv_bias, relu=True)
+        staged = model.routing(model.affine(model.primary(traced)))[0].activations
+        whole = model.digit_caps(images)
+    assert np.signbit(traced.data).any()  # -0.0 from negative pre-activations
+    assert traced.data.tobytes() == fused.data.tobytes()
+    assert staged.data.tobytes() == whole.data.tobytes()

@@ -265,6 +265,60 @@ def test_fused_bias_is_bit_identical_to_adding_it_after(bsz, cin, size, k, strid
         assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "bsz,cin,size,k,stride,padding",
+    [(5, 32, 13, 9, 1, 0), (5, 32, 18, 9, 2, 1), (8, 1, 12, 3, 1, 1), (4, 3, 12, 5, 2, 1)],
+)
+def test_fused_relu_is_bit_identical_to_relu_after(bsz, cin, size, k, stride, padding):
+    rng = np.random.default_rng(bsz + cin + k + stride)
+    x = rng.normal(size=(bsz, cin, size, size))
+    x[0, 0, size // 2, size // 2] = np.nan
+    w = rng.normal(size=(6, cin, k, k))
+    w[0] = 0.0  # channel 0 of the pre-activation is exactly zero away from the NaN
+    b = rng.normal(size=6)
+    b[0] = 0.0
+    ho = (size + 2 * padding - k) // stride + 1
+    g = rng.normal(size=(bsz, 6, ho, ho))
+    pre = T.conv2d(x, w, b, stride=stride, padding=padding).data
+    assert (pre == 0).any() and (pre < 0).any() and (pre > 0).any() and np.isnan(pre).any()
+
+    def fused(xt, wt, bt):
+        return T.conv2d(xt, wt, bt, stride=stride, padding=padding, relu=True)
+
+    def composed(xt, wt, bt):
+        return T.relu(T.conv2d(xt, wt, bt, stride=stride, padding=padding))
+
+    runs = []
+    for conv in (fused, composed):
+        xt, wt, bt = leaf(x), leaf(w), leaf(b)
+        out = conv(xt, wt, bt)
+        (out * g).sum().backward()
+        with T.no_grad():
+            constant = conv(xt, wt, bt)
+        assert constant.grad is None and not constant.requires_grad
+        # By bytes: -0.0 and 0.0 compare equal, and NaN never does.
+        runs.append([a.tobytes() for a in (out.data, constant.data, xt.grad, wt.grad, bt.grad)])
+    assert runs[0] == runs[1]
+    assert np.signbit(np.frombuffer(runs[0][0])[pre.reshape(-1) < 0]).all()
+
+
+def test_fused_relu_writes_no_second_output():
+    rng = np.random.default_rng(7)
+    x, w, b = rng.normal(size=(64, 3, 32, 32)), rng.normal(size=(32, 3, 9, 9)), rng.normal(size=32)
+    output = 64 * 32 * 24 * 24 * 8
+    peaks = []
+    for conv in (lambda: T.conv2d(x, w, b, relu=True), lambda: T.relu(T.conv2d(x, w, b))):
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                conv()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fused, composed = peaks
+    assert fused <= composed - output / 2
+
+
 def test_conv_rejects_a_bias_of_the_wrong_shape():
     x, w = np.ones((1, 2, 5, 5)), np.ones((3, 2, 3, 3))
     with pytest.raises(DimensionError, match="bias"):

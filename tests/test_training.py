@@ -505,6 +505,24 @@ def test_evaluate_rejects_empty_dataset():
         evaluate(tiny_model(), empty)
 
 
+def test_validation_loss_rejects_empty_dataset():
+    empty = EchoDataset(
+        np.zeros((0, 1, 20, 20), dtype=np.float32),
+        np.zeros(0, dtype=np.uint8),
+        np.zeros(0, dtype=np.float32),
+    )
+    with pytest.raises(ConfigurationError, match="non-empty"):
+        validation_loss(tiny_model(), empty)
+
+
+@pytest.mark.parametrize("fn", [evaluate, validation_loss])
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluation_rejects_a_non_positive_batch_size(fn, batch_size):
+    train_set, _, _ = tiny_splits()
+    with pytest.raises(ConfigurationError, match=f"batch_size >= 1, got {batch_size}"):
+        fn(tiny_model(), train_set, batch_size)
+
+
 # ---------------------------------------------------------------- checkpointing
 
 
