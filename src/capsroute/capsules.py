@@ -16,6 +16,7 @@ and returns them as a [B, N_in, N_out, D_out] view, so no layout is copied.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,6 @@ __all__ = [
     "SharedAffine",
     "ConvAffine",
     "ConstantAffine",
-    "make_affine",
     "RoutingSpec",
     "RoutingState",
     "dynamic_routing",
@@ -231,25 +231,6 @@ class ConstantAffine:
         return []
 
 
-def make_affine(
-    kind: str,
-    *,
-    n_in: int,
-    d_in: int,
-    n_out: int,
-    d_out: int,
-    caps_per_cell: int,
-    rng: np.random.Generator,
-):
-    if kind == "shared":
-        return SharedAffine(n_in, d_in, n_out, d_out, rng)
-    if kind == "conv":
-        return ConvAffine(caps_per_cell, d_in, n_out, d_out, rng)
-    if kind == "constant":
-        return ConstantAffine(n_out, d_out)
-    raise ConfigurationError(f"unknown vote transform kind: {kind!r}")
-
-
 # ---------------------------------------------------------------------- routing
 _SOFTMAX_AXES = {"input_caps": 2, "output_caps": 1}  # softmax axis of the [B, N_out, N_in] logits
 
@@ -270,6 +251,8 @@ class RoutingSpec:
     def __post_init__(self):
         if self.method not in ("dynamic", "attention"):
             raise ConfigurationError(f"unknown routing_method: {self.method!r}")
+        if not isinstance(self.iterations, numbers.Integral):
+            raise ConfigurationError(f"routing_iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ConfigurationError(f"routing_iterations must be >= 1, got {self.iterations}")
         if self.softmax_axis not in _SOFTMAX_AXES:

@@ -19,15 +19,17 @@ from typing import ClassVar
 import numpy as np
 
 from .capsules import (
+    ConstantAffine,
+    ConvAffine,
     Decoder,
     PrimaryCapsules,
     RegressionHead,
     Routing,
     RoutingSpec,
+    SharedAffine,
     _Linear,
     classify,
     conv_params,
-    make_affine,
 )
 from .errors import ConfigurationError
 from .losses import (
@@ -72,6 +74,8 @@ class ModelConfig:
         for name in ("hidden_dim", "conv_kernel", "d_primary", "d_digit"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if len(self.decoder_hidden) != 2:
+            raise ConfigurationError(f"decoder_hidden must be two widths, got {self.decoder_hidden}")
         if min(self.decoder_hidden) < 1:
             raise ConfigurationError(f"decoder_hidden widths must be >= 1, got {self.decoder_hidden}")
 
@@ -115,16 +119,13 @@ class CapsuleClassifier:
         self.primary = PrimaryCapsules(
             cfg.hidden_dim, cfg.hidden_dim, d=cfg.d_primary, kernel=k, stride=2, rng=rng
         )
-        n_in = hg * wg * self.primary.caps_per_cell
-        self.affine = make_affine(
-            cfg.affine_kind,
-            n_in=n_in,
-            d_in=cfg.d_primary,
-            n_out=cfg.n_classes,
-            d_out=cfg.d_digit,
-            caps_per_cell=self.primary.caps_per_cell,
-            rng=rng,
-        )
+        cpc = self.primary.caps_per_cell
+        if cfg.affine_kind == "shared":
+            self.affine = SharedAffine(hg * wg * cpc, cfg.d_primary, cfg.n_classes, cfg.d_digit, rng)
+        elif cfg.affine_kind == "conv":
+            self.affine = ConvAffine(cpc, cfg.d_primary, cfg.n_classes, cfg.d_digit, rng)
+        else:
+            self.affine = ConstantAffine(cfg.n_classes, cfg.d_digit)
         self.routing = Routing(cfg.routing, cfg.d_digit)
         self.decoder = Decoder(cfg.n_classes * cfg.d_digit, c_img * h * w, cfg.decoder_hidden, rng)
         self.reg_head = RegressionHead(cfg.n_classes * cfg.d_digit, rng)

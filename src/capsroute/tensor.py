@@ -27,6 +27,7 @@ separate threads do not interact.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from typing import Callable
 
@@ -260,6 +261,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _integer(op: str, name: str, value) -> int:
+    """``value`` as an int; a float, even 2.0, is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"{op}: {name} must be an integer, got {value!r}") from None
+
+
 def _normalize_axis(axis: int, ndim: int, op: str) -> int:
     ax = axis + ndim if axis < 0 else axis
     if not 0 <= ax < ndim:
@@ -310,8 +319,13 @@ def scale(a, s: float) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0  # subgradient 0 at the kink
-    return _from_op(a.data * mask, (a, lambda g: g * mask))
+    return _relu_node(a, a.data * (a.data > 0))  # subgradient 0 at the kink
+
+
+def _relu_node(a: Tensor, out: np.ndarray) -> Tensor:
+    """The node of ``out = relu(a.data)``: ``out > 0`` exactly where ``a.data > 0``
+    (NaN and -0.0 included), so the gradient ``g * (out > 0)`` needs no stored mask."""
+    return _from_op(out, (a, lambda g: g * (out > 0)))
 
 
 def square(a) -> Tensor:
@@ -458,10 +472,9 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, relu: bool = Fals
     accumulator in batch order. That is the order of a sum over the batch axis
     of the per-image products, so the result does not depend on the block size.
     The input gradient adds ``g @ w[:, :, i, j]`` per kernel offset (i, j) in
-    lexicographic order, as a patch scatter would. After a ``relu`` the output
-    is positive exactly where the pre-activation was, so the input, kernel and
-    bias gradients all start from one ``g * (output > 0)``, computed once per
-    backward from the output; the forward stores no mask.
+    lexicographic order, as a patch scatter would. With ``relu`` the result is
+    the ``relu`` op's own node over the conv node, and both hold the one
+    rectified array, which the conv's gradient functions never read.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -475,7 +488,7 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, relu: bool = Fals
         bias = _as_tensor(bias)
         if bias.shape != (c_out,):
             raise DimensionError(f"conv2d: bias must have shape ({c_out},), got {bias.shape}")
-    s, p = int(stride), int(padding)
+    s, p = _integer("conv2d", "stride", stride), _integer("conv2d", "padding", padding)
     if s < 1 or p < 0:
         raise ContractError(f"conv2d: need stride >= 1 and padding >= 0, got {stride}, {padding}")
     bsz, _, h, wd = x.shape
@@ -541,29 +554,8 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, relu: bool = Fals
     inputs = [(x, grad_x), (w, grad_w)]
     if bias is not None:
         inputs.append((bias, lambda g: g.sum(axis=(0, 2, 3))))
-    if relu:
-        inputs = _gated(inputs, y)
-    return _from_op(y, *inputs)
-
-
-def _gated(inputs, y):
-    """``inputs`` with each gradient function fed ``g * (y > 0)`` for the output
-    gradient ``g``. The first function to run computes the product; the last
-    input that needs a gradient releases it, so the graph keeps no copy."""
-    last = max((n for n, (t, _) in enumerate(inputs) if t.requires_grad), default=-1)
-    held = []  # [g, g * (y > 0)] for the gradient being passed back
-
-    def gate(n, fn):
-        def grad_fn(g):
-            if not held or held[0] is not g:
-                held[:] = [g, g * (y > 0)]
-            g_pre = held[1]
-            if n == last:
-                held.clear()
-            return fn(g_pre)
-        return grad_fn
-
-    return [(t, gate(n, fn)) for n, (t, fn) in enumerate(inputs)]
+    conv = _from_op(y, *inputs)
+    return _relu_node(conv, y) if relu else conv
 
 
 def maxpool2d(a, kernel: int) -> Tensor:
@@ -575,7 +567,7 @@ def maxpool2d(a, kernel: int) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 4:
         raise DimensionError(f"maxpool2d: expected rank-4 input, got {a.shape}")
-    k = int(kernel)
+    k = _integer("maxpool2d", "kernel", kernel)
     bsz, ch, h, w = a.shape
     if k < 1 or h % k or w % k:
         raise DimensionError(

@@ -288,3 +288,11 @@ def test_routing_spec_validation():
 def test_routing_spec_rejects_fewer_than_one_iteration(method):
     with pytest.raises(ConfigurationError, match="routing_iterations must be >= 1, got 0"):
         RoutingSpec(method, 0)
+
+
+def test_routing_spec_rejects_a_fractional_iteration_count():
+    with pytest.raises(ConfigurationError, match="routing_iterations must be an integer, got 2.5"):
+        RoutingSpec("dynamic", 2.5)
+    with pytest.raises(ConfigurationError, match="routing_iterations must be an integer"):
+        RoutingSpec("dynamic", 2.0)
+    assert RoutingSpec("dynamic", np.int64(2)).iterations == 2

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from capsroute import tensor as T
-from capsroute.errors import DimensionError
+from capsroute.errors import ContractError, DimensionError
 from capsroute.gradcheck import fd_gradient, relative_error
 from capsroute.tensor import Tensor
 
@@ -292,7 +292,8 @@ def test_fused_relu_is_bit_identical_to_relu_after(bsz, cin, size, k, stride, pa
     for conv in (fused, composed):
         xt, wt, bt = leaf(x), leaf(w), leaf(b)
         out = conv(xt, wt, bt)
-        (out * g).sum().backward()
+        # Two consumers, so the gradient reaching the ReLU is a sum.
+        ((out * g).sum() + (T.square(out) * g).sum()).backward()
         with T.no_grad():
             constant = conv(xt, wt, bt)
         assert constant.grad is None and not constant.requires_grad
@@ -317,6 +318,25 @@ def test_fused_relu_writes_no_second_output():
             tracemalloc.stop()
     fused, composed = peaks
     assert fused <= composed - output / 2
+
+
+def test_fused_relu_is_a_relu_node_over_the_conv_sharing_its_output():
+    x, w, b = leaf(np.ones((2, 1, 5, 5))), leaf(np.ones((3, 1, 3, 3))), leaf(np.zeros(3))
+    out = T.conv2d(x, w, b, relu=True)
+    (conv,) = out._parents
+    assert conv._parents == (x, w, b)
+    assert np.shares_memory(out.data, conv.data)
+
+
+def test_conv_and_maxpool_reject_a_fractional_stride_padding_or_kernel():
+    x, w = np.ones((1, 1, 6, 6)), np.ones((1, 1, 2, 2))
+    for name, value in (("stride", 1.5), ("padding", 0.7), ("stride", 2.0)):
+        with pytest.raises(ContractError, match=f"conv2d: {name} must be an integer"):
+            T.conv2d(x, w, **{name: value})
+    with pytest.raises(ContractError, match="maxpool2d: kernel must be an integer"):
+        T.maxpool2d(x, 2.9)
+    assert T.conv2d(x, w, stride=np.int64(2), padding=np.int32(1)).shape == (1, 1, 4, 4)
+    assert T.maxpool2d(x, np.int64(3)).shape == (1, 1, 2, 2)
 
 
 def test_conv_rejects_a_bias_of_the_wrong_shape():

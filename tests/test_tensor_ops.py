@@ -23,6 +23,15 @@ def test_add_values():
 
 def test_relu_sign_cases():
     assert_array_equal(T.relu(leaf([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+    # Output and gradient follow the input's mask, byte for byte.
+    x = np.array([-2.0, -0.0, 0.0, np.nan, 5e-324, 3.0, np.inf])
+    g = np.array([-1.5, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0])
+    xt = leaf(x)
+    out = T.relu(xt)
+    (out * g).sum().backward()
+    # By bytes: -0.0 and 0.0 compare equal, and NaN never does.
+    assert out.data.tobytes() == (x * (x > 0)).tobytes()
+    assert xt.grad.tobytes() == (g * (x > 0)).tobytes()
 
 
 def test_square_derivative_closed_form():

@@ -470,6 +470,12 @@ def test_train_config_rejects_values_outside_their_range(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("widths", [(6, 7, 9), (6,), ()])
+def test_model_config_rejects_a_decoder_that_is_not_two_widths(widths):
+    with pytest.raises(ConfigurationError, match="decoder_hidden must be two widths"):
+        ModelConfig(decoder_hidden=widths)
+
+
 def test_train_rejects_empty_splits():
     empty = EchoDataset(
         np.zeros((0, 1, 4, 4), dtype=np.float32),
