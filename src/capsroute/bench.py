@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capsules import Routing, RoutingSpec
-from .errors import ConfigurationError
+from .errors import check_integer
 from .tensor import Tensor, no_grad
 
 __all__ = ["BenchRow", "bench_routing", "rows_to_csv"]
@@ -40,10 +40,10 @@ class BenchRow:
         )
 
 
-def _time_round_robin(fns, repeats: int, warmup: int = 3) -> list[float]:
+def _time_round_robin(fns, repeats: int) -> list[float]:
     """Median seconds per call of each of ``fns``, timed one call each per round
-    and in reverse order every other round, after ``warmup`` untimed rounds."""
-    for _ in range(warmup):
+    and in reverse order every other round, after 3 untimed rounds."""
+    for _ in range(3):
         for fn in fns:
             fn()
     samples = [[] for _ in fns]
@@ -63,8 +63,7 @@ def bench_routing(shapes=DEFAULT_SHAPES, r_values=(1, 2, 3), repeats: int = 20) 
 
     Per shape the methods are timed round-robin, so a burst of load from
     another process falls on all of them rather than on one."""
-    if repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+    check_integer("repeats", repeats, 1)
     rng = np.random.default_rng(0)
     specs = [RoutingSpec("dynamic", r) for r in r_values] + [RoutingSpec("attention", 1)]
     rows: list[BenchRow] = []

@@ -16,12 +16,11 @@ and returns them as a [B, N_in, N_out, D_out] view, so no layout is copied.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, check_integer
 from .tensor import (
     Tensor,
     conv2d,
@@ -251,10 +250,7 @@ class RoutingSpec:
     def __post_init__(self):
         if self.method not in ("dynamic", "attention"):
             raise ConfigurationError(f"unknown routing_method: {self.method!r}")
-        if not isinstance(self.iterations, numbers.Integral):
-            raise ConfigurationError(f"routing_iterations must be an integer, got {self.iterations!r}")
-        if self.iterations < 1:
-            raise ConfigurationError(f"routing_iterations must be >= 1, got {self.iterations}")
+        check_integer("routing_iterations", self.iterations, 1)
         if self.softmax_axis not in _SOFTMAX_AXES:
             raise ConfigurationError(f"unknown attention_softmax_axis: {self.softmax_axis!r}")
 

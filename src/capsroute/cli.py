@@ -31,9 +31,15 @@ def _resolved_config(args) -> dict:
     return cfg_mod.resolve(file_values, overrides)
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _emit(out: str | None, text: str) -> None:
+    """Write ``text`` to the file ``out`` and say so, or print it when ``out`` is unset."""
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
 
 
 def _cmd_gen_data(args) -> int:
@@ -112,24 +118,14 @@ def _cmd_bench_routing(args) -> int:
         r_values=_positive_ints("--iterations", args.iterations),
         repeats=args.repeats,
     )
-    text = bench.rows_to_csv(rows)
-    if args.out:
-        _write(Path(args.out), text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(args.out, bench.rows_to_csv(rows))
     return 0
 
 
 def _cmd_sweep_lambda(args) -> int:
     cfg = _resolved_config(args)
     results = experiment.sweep_lambda(cfg, _lambda_grid(args.grid))
-    table = experiment.lambda_table(results)
-    if args.out:
-        _write(Path(args.out), table)
-        print(f"wrote {args.out}")
-    else:
-        print(table, end="")
+    _emit(args.out, experiment.lambda_table(results))
     return 0
 
 

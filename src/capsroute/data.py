@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError, StratificationError
+from .errors import ConfigurationError, DataFormatError, StratificationError, check_finite, check_integer
 
 __all__ = ["SynthConfig", "EchoDataset", "generate", "save", "load", "check_split", "split",
            "class_proportions"]
@@ -51,10 +51,14 @@ class SynthConfig:
     allow_width_overlap: bool = False
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigurationError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not 0 <= self.seed < 2**64:
+        check_integer("n_samples", self.n_samples, 1)
+        check_integer("image_size", self.image_size, 1)
+        check_integer("seed (data_seed)", self.seed, 0)
+        if self.seed >= 2**64:
             raise ConfigurationError(f"seed (data_seed) must lie in [0, 2**64), got {self.seed}")
+        for name in ("positive_ratio", "rotation_range_train", "rotation_range_test", "translation_range",
+                     "width_normal", "width_dilated", "noise_sigma"):
+            check_finite(name, getattr(self, name))
         c, h, w = self.image_size
         if c not in (1, 3):
             raise ConfigurationError(f"image_size needs 1 or 3 channels, got {c}")
@@ -315,14 +319,14 @@ def _largest_remainder(total: int, fractions: tuple[float, ...]) -> list[int]:
 
 
 def check_split(fractions: tuple[float, ...], seed: int) -> None:
-    """Reject split fractions that are not three non-negative shares summing to
-    1, and a negative split seed."""
+    """Reject split fractions that are not three finite, non-negative shares
+    summing to 1, and a split seed that is not an integer >= 0."""
     if len(fractions) != 3:
         raise ConfigurationError(f"split_fractions needs 3 shares (train, val, test), got {len(fractions)}")
+    check_finite("split_fractions", fractions)
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"split_fractions must be non-negative and sum to 1, got {fractions}")
-    if seed < 0:
-        raise ConfigurationError(f"split_seed must be >= 0, got {seed}")
+    check_integer("split_seed", seed, 0)
 
 
 def split(

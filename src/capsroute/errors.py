@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the config-field checks that raise them."""
+
+import numbers
+
+import numpy as np
 
 
 class CapsrouteError(Exception):
@@ -37,3 +41,19 @@ class StratificationError(CapsrouteError, ValueError):
 
 class TrainingAborted(CapsrouteError, RuntimeError):
     """Optimization hit a non-recoverable state, e.g. a non-finite gradient."""
+
+
+def check_integer(key: str, value, minimum: int) -> None:
+    """Reject ``value``, naming ``key``, unless it (or each entry of a tuple) is an
+    integer >= ``minimum``. numpy integers pass; a float does not, even 2.0."""
+    if not all(isinstance(v, numbers.Integral) for v in np.ravel(value)):
+        what = "integers" if isinstance(value, tuple) else "an integer"
+        raise ConfigurationError(f"{key} must be {what}, got {value!r}")
+    if np.min(value) < minimum:
+        raise ConfigurationError(f"{key} must be >= {minimum}, got {value}")
+
+
+def check_finite(key: str, value) -> None:
+    """Reject a NaN or infinite ``value`` (or tuple entry), naming ``key``."""
+    if not np.isfinite(value).all():
+        raise ConfigurationError(f"{key} must be finite, got {value!r}")

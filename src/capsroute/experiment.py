@@ -183,10 +183,10 @@ def sweep_lambda(
     return [(run_cfg["lambda_reg"], run_experiment(run_cfg, splits=splits)[1]) for run_cfg in run_cfgs]
 
 
-def lambda_table(results: list[tuple[float, ExperimentRecord]], split_name: str = "test") -> str:
-    """CSV of ranking metrics per lambda, one row per grid point."""
+def lambda_table(results: list[tuple[float, ExperimentRecord]]) -> str:
+    """CSV of each run's test-split ranking metrics, one row per grid point."""
     rows = ["lambda,accuracy,f1,roc_auc,pr_auc"]
     for lam, record in results:
-        m = record.metrics[split_name]
+        m = record.metrics["test"]
         rows.append(",".join(map(format_value, (lam, m.accuracy, m.f1, m.roc_auc, m.pr_auc))))
     return "\n".join(rows) + "\n"

@@ -120,12 +120,12 @@ def spot_check(
     return GradCheckResult(name, worst, tolerance)
 
 
-def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradCheckResult]:
+def standard_suite(seed: int = 7) -> list[GradCheckResult]:
     """The library-wide gradient verification battery.
 
     Covers each differentiable primitive at 1e-6, each capsule layer at 1e-5,
-    both losses at 1e-6, and ``end_to_end_entries`` random parameter entries
-    of the small capsule classifier at 1e-4.
+    both losses at 1e-6, and 10 random parameter entries of the small capsule
+    classifier at 1e-4.
     """
     from . import capsules, losses, models, tensor as T
 
@@ -270,7 +270,7 @@ def standard_suite(seed: int = 7, end_to_end_entries: int = 10) -> list[GradChec
             "end_to_end.capsule_classifier",
             lambda: model.training_loss(imgs, lbls, regs)[0],
             model.parameters(),
-            n_entries=end_to_end_entries,
+            n_entries=10,
             rng=rng,
             tolerance=1e-4,
         )

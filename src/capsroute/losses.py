@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, check_finite
 from .tensor import Tensor, log_softmax, relu, scale, square
 
 __all__ = [
@@ -29,6 +29,8 @@ class MarginLossParams:
     negative_weight: float = 0.5
 
     def __post_init__(self):
+        for name in ("m_plus", "m_minus", "negative_weight"):
+            check_finite(name, getattr(self, name))
         if not (0.0 <= self.m_minus < self.m_plus <= 1.0):
             raise ConfigurationError(
                 f"margins must satisfy 0 <= m_minus < m_plus <= 1, got "
@@ -56,15 +58,14 @@ class WeightedLossParams:
     def __post_init__(self):
         if self.weight_mode not in ("literal", "inverse", "uniform"):
             raise ConfigurationError(f"unknown weight_mode: {self.weight_mode!r}")
-        if self.lambda_reg < 0 or self.lambda_recon < 0:
-            raise ConfigurationError(
-                f"loss multipliers must be >= 0, got lambda_reg={self.lambda_reg}, "
-                f"lambda_recon={self.lambda_recon}"
-            )
+        for name in ("lambda_reg", "lambda_recon"):
+            check_finite(name, getattr(self, name))
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
         p = np.asarray(self.class_proportions, dtype=np.float64)
-        if p.ndim != 1 or p.size < 2 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if p.ndim != 1 or p.size < 2 or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
             raise ConfigurationError(
-                f"class_proportions must be non-negative and sum to 1, got {self.class_proportions}"
+                f"class_proportions must be finite, non-negative and sum to 1, got {self.class_proportions}"
             )
 
     def class_weights(self) -> np.ndarray:

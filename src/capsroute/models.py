@@ -31,7 +31,7 @@ from .capsules import (
     classify,
     conv_params,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .losses import (
     MarginLossParams,
     WeightedLossParams,
@@ -45,6 +45,7 @@ __all__ = ["ModelConfig", "CapsuleClassifier", "CnnClassifier", "build_model",
            "parameter_count", "save_params", "load_params"]
 
 ARCHITECTURES = ("cardiocaps", "cnn1", "cnn2")
+_PRIMARY_STRIDE = 2  # of the primary-capsule conv; sets the capsule grid SharedAffine is sized for
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,10 @@ class ModelConfig:
         if self.affine_kind not in ("shared", "conv", "constant"):
             raise ConfigurationError(f"unknown affine_kind: {self.affine_kind!r}")
         for name in ("hidden_dim", "conv_kernel", "d_primary", "d_digit"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+            check_integer(name, getattr(self, name), 1)
         if len(self.decoder_hidden) != 2:
             raise ConfigurationError(f"decoder_hidden must be two widths, got {self.decoder_hidden}")
-        if min(self.decoder_hidden) < 1:
-            raise ConfigurationError(f"decoder_hidden widths must be >= 1, got {self.decoder_hidden}")
+        check_integer("decoder_hidden", self.decoder_hidden, 1)
 
 
 class CapsuleClassifier:
@@ -104,7 +103,7 @@ class CapsuleClassifier:
         k = cfg.conv_kernel
 
         h1, w1 = h - k + 1, w - k + 1
-        hg, wg = (h1 - k) // 2 + 1, (w1 - k) // 2 + 1
+        hg, wg = (h1 - k) // _PRIMARY_STRIDE + 1, (w1 - k) // _PRIMARY_STRIDE + 1
         if h1 < k or w1 < k or hg < 1 or wg < 1:
             raise ConfigurationError(
                 f"image {h}x{w} with conv_kernel={k} leaves no primary grid: "
@@ -117,7 +116,7 @@ class CapsuleClassifier:
             )
         self.conv_weight, self.conv_bias = conv_params(cfg.hidden_dim, c_img, k, rng)
         self.primary = PrimaryCapsules(
-            cfg.hidden_dim, cfg.hidden_dim, d=cfg.d_primary, kernel=k, stride=2, rng=rng
+            cfg.hidden_dim, cfg.hidden_dim, d=cfg.d_primary, kernel=k, stride=_PRIMARY_STRIDE, rng=rng
         )
         cpc = self.primary.caps_per_cell
         if cfg.affine_kind == "shared":

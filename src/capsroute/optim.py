@@ -12,6 +12,7 @@ from .tensor import Tensor
 __all__ = ["Adam"]
 
 _CHUNK = 32768  # elements per pass: six 256 KiB streams fit a 2 MiB L2 cache
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba (arXiv 1412.6980)
 
 
 class Adam:
@@ -28,20 +29,9 @@ class Adam:
     updated earlier parameters and earlier chunks of the named one.
     """
 
-    def __init__(
-        self,
-        params: list[tuple[str, Tensor]],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        for name, value in (("lr", lr), ("eps", eps)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"Adam needs a finite {name} > 0, got {name}={value}")
-        for name, value in (("beta1", beta1), ("beta2", beta2)):
-            if not 0 <= value < 1:
-                raise ConfigurationError(f"Adam needs {name} in [0, 1), got {name}={value}")
+    def __init__(self, params: list[tuple[str, Tensor]], lr: float = 1e-4):
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigurationError(f"Adam needs a finite lr > 0, got lr={lr}")
         self.params = list(params)
         for name, p in self.params:
             if p.grad is None:
@@ -51,9 +41,6 @@ class Adam:
                 raise ConfigurationError(f"Adam parameter {name!r} is not C-contiguous, "
                                          "so it cannot be updated through a flat view")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros(p.data.size) for _, p in self.params]
         self._v = [np.zeros(p.data.size) for _, p in self.params]
@@ -65,9 +52,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         for (name, p), m_all, v_all in zip(self.params, self._m, self._v):
             # Keep the ufunc calls and their order, so each chunk is bit-identical to
             #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
@@ -79,15 +65,15 @@ class Adam:
                 if not np.isfinite(g).all():
                     raise TrainingAborted(f"non-finite gradient in parameter {name!r} at step {self.t}")
                 s1, s2 = (buf[: hi - lo] for buf in self._scratch)
-                m *= b1
-                m += np.multiply(g, 1.0 - b1, out=s1)
-                v *= b2
+                m *= _BETA1
+                m += np.multiply(g, 1.0 - _BETA1, out=s1)
+                v *= _BETA2
                 np.multiply(g, g, out=s1)
-                v += np.multiply(s1, 1.0 - b2, out=s1)
+                v += np.multiply(s1, 1.0 - _BETA2, out=s1)
                 np.divide(m, bc1, out=s1)
                 s1 *= self.lr
                 np.divide(v, bc2, out=s2)
                 np.sqrt(s2, out=s2)
-                s2 += self.eps
+                s2 += _EPS
                 s1 /= s2
                 data -= s1

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import EchoDataset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 from .metrics import MetricsReport, format_value
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -38,14 +38,10 @@ class TrainConfig:
     seed: int = 10
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigurationError("batch_size and max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
+        for name, minimum in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(f"Adam needs a finite lr > 0, got lr={self.lr}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capsroute import ConfigurationError, data, experiment
+from capsroute import (
+    ConfigurationError,
+    MarginLossParams,
+    ModelConfig,
+    SynthConfig,
+    TrainConfig,
+    WeightedLossParams,
+    data,
+    experiment,
+)
 from capsroute.cli import main
 from capsroute.config import (
     SCHEMA,
@@ -99,6 +108,57 @@ def test_resolve_rejects_malformed_values():
         resolve({"width_normal": "1,2,3"})  # pairs need exactly two values
     with pytest.raises(ConfigurationError):
         resolve({"decoder_hidden": "wide,narrow"})
+
+
+# (dataclass, field, config key) of every integer field a config key feeds
+_INTEGER_FIELDS = [
+    *[(ModelConfig, name, name) for name in ("hidden_dim", "conv_kernel", "d_primary", "d_digit", "decoder_hidden")],
+    *[(TrainConfig, name, name) for name in ("batch_size", "max_epochs", "patience", "seed")],
+    (SynthConfig, "n_samples", "n_samples"),
+    (SynthConfig, "image_size", "image_size"),
+    (SynthConfig, "seed", "data_seed"),
+]
+
+
+def _as_float(value):
+    """``value`` with its (first) integer turned into the equal float."""
+    return (float(value[0]), *value[1:]) if isinstance(value, tuple) else float(value)
+
+
+@pytest.mark.parametrize("cls,name,key", _INTEGER_FIELDS)
+def test_integer_fields_reject_a_float_naming_the_key(cls, name, key):
+    default = getattr(cls(), name)
+    with pytest.raises(ConfigurationError, match=rf"\b{key}\)? must be (an integer|integers), got"):
+        cls(**{name: _as_float(default)})
+    fractional = default + 0.5 if isinstance(default, int) else (default[0] + 0.5, *default[1:])
+    with pytest.raises(ConfigurationError, match=rf"\b{key}\)? must be"):
+        cls(**{name: fractional})
+    as_numpy = tuple(map(np.int64, default)) if isinstance(default, tuple) else np.int64(default)
+    assert getattr(cls(**{name: as_numpy}), name) == default
+
+
+def test_check_split_rejects_a_non_finite_share_and_a_float_seed_naming_the_key():
+    with pytest.raises(ConfigurationError, match="split_fractions must be finite"):
+        data.check_split((float("nan"), 0.5, 0.5), 3)
+    with pytest.raises(ConfigurationError, match="split_seed must be an integer"):
+        data.check_split((0.8, 0.1, 0.1), 3.5)
+
+
+_FLOAT_FIELDS = [
+    *[(SynthConfig, name) for name in ("positive_ratio", "rotation_range_train", "rotation_range_test",
+                                        "translation_range", "width_normal", "width_dilated", "noise_sigma")],
+    *[(WeightedLossParams, name) for name in ("class_proportions", "lambda_reg", "lambda_recon")],
+    *[(MarginLossParams, name) for name in ("m_plus", "m_minus", "negative_weight")],
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls,name", _FLOAT_FIELDS)
+def test_float_fields_reject_non_finite_values_naming_the_key(cls, name, bad):
+    default = getattr(cls(), name)
+    value = (bad, *default[1:]) if isinstance(default, tuple) else bad
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
+        cls(**{name: value})
 
 
 def _malformed_values():
