@@ -15,7 +15,7 @@ regenerated bit-identically no matter the batch or process layout.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class SynthConfig:
     allow_width_overlap: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # arity first: the checks below unpack and compare
+            value, want = getattr(self, f.name), np.shape(f.default)
+            if np.shape(value) != want:
+                count = f"{want[0]} values" if want else "a single value"
+                raise ConfigurationError(f"{f.name} expects {count}, got {value!r}")
         check_integer("n_samples", self.n_samples, 1)
         check_integer("image_size", self.image_size, 1)
         check_integer("seed (data_seed)", self.seed, 0)

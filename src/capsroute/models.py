@@ -246,12 +246,26 @@ def save_params(model, path) -> None:
 
 
 def load_params(model, path) -> None:
-    """Copy a checkpoint into the model, which is left untouched if any check fails."""
-    try:
-        with np.load(path) as archive:
-            stored = dict(archive)
-    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as err:
-        raise ConfigurationError(f"{path} is not a readable checkpoint: {err}") from None
+    """Copy a checkpoint into the model, which is left untouched if any check fails.
+
+    Each archive member is read to its end, which is where zip checks its
+    CRC-32: a damaged ``.npy`` header that shortens the array would otherwise
+    load the wrong bytes unchecked.
+    """
+    stored = {}
+    with open(path, "rb") as fh:  # a missing file raises its own OSError, as any open does
+        try:
+            with zipfile.ZipFile(fh) as archive:
+                for member_name in archive.namelist():
+                    with archive.open(member_name) as member:
+                        array = np.lib.format.read_array(member, allow_pickle=False)
+                        if member.read(1):
+                            raise ValueError(f"{member_name} holds bytes past its array")
+                    stored[member_name.removesuffix(".npy")] = array
+        except Exception as err:  # on damage zipfile, numpy and tokenize raise eight types and more
+            raise ConfigurationError(
+                f"{path} is not a readable checkpoint: {type(err).__name__}: {err}"
+            ) from None
     params = model.parameters()
     for name, p in params:
         if name not in stored:

@@ -34,9 +34,10 @@ class Adam:
             raise ConfigurationError(f"Adam needs a finite lr > 0, got lr={lr}")
         self.params = list(params)
         for name, p in self.params:
-            if p.grad is None:
-                raise ConfigurationError(f"Adam parameter {name!r} has no gradient array "
-                                         "(built without requires_grad or under no_grad)")
+            if not p.requires_grad or p._parents:  # not p.grad, which would allocate the gradient
+                raise ConfigurationError(f"Adam parameter {name!r} is not a leaf that requires a "
+                                         "gradient (an op output, or built without requires_grad "
+                                         "or under no_grad)")
             if not p.data.flags.c_contiguous:
                 raise ConfigurationError(f"Adam parameter {name!r} is not C-contiguous, "
                                          "so it cannot be updated through a flat view")

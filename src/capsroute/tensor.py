@@ -5,12 +5,14 @@ gradient function per input on its output. ``Tensor.backward`` walks the recorde
 operations once in reverse topological order and *writes* each reachable
 leaf's gradient into that leaf's own ``.grad`` (a leaf is a tensor created with
 ``requires_grad=True``), so repeated calls are idempotent (bit-identical
-results) rather than accumulating. Nothing rebinds a leaf's ``.data`` or
-``.grad`` after construction, and a leaf copies the array it is built from,
-so in-place updates never reach the caller's array. Intermediate gradients
-are dropped as soon as they have been passed on, and op outputs keep
-``.grad`` at None. Leaves start with zero gradients, so parameters that never
-join a loss read back as zero.
+results) rather than accumulating. A leaf's gradient reads as zeros until a
+backward writes it: the array is allocated on the first read of ``.grad``, so
+a model that is only evaluated holds no gradient memory, and a parameter that
+never joins a loss reads back as zero. Nothing rebinds a leaf's ``.data``
+after construction or its ``.grad`` after that first read, and a leaf copies
+the array it is built from, so in-place updates never reach the caller's
+array. Intermediate gradients are dropped as soon as they have been passed
+on, and op outputs and constants keep ``.grad`` at None.
 
 An op hands ``_from_op`` each input paired with the function that maps the
 output's gradient to that input's gradient. ``_from_op`` keeps the function
@@ -88,19 +90,25 @@ def no_grad():
 class Tensor:
     """A dense float64 array plus the bookkeeping for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_grad_fns")
 
     def __init__(self, data, requires_grad: bool = False):
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         if self.requires_grad:
             # A leaf is updated in place, so it copies rather than write into the caller's array.
             self.data = np.array(data, dtype=np.float64)
-            self.grad = np.zeros_like(self.data)
         else:
             self.data = np.asarray(data, dtype=np.float64)
-            self.grad = None
+        self._grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """A leaf's gradient array, zeros until a backward writes it; None on other tensors."""
+        if self._grad is None and self.requires_grad and not self._parents:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
 
     # ------------------------------------------------------------------ info
     @property
@@ -231,7 +239,7 @@ def _from_op(data: np.ndarray, *inputs: tuple[Tensor, Callable[[np.ndarray], np.
     """
     out = Tensor.__new__(Tensor)
     out.data = data if data.dtype == np.float64 else data.astype(np.float64)
-    out.grad = None
+    out._grad = None
     out.requires_grad = _GRAD_ENABLED and any(t.requires_grad for t, _ in inputs)
     if out.requires_grad:
         out._parents = tuple(t for t, _ in inputs)

@@ -151,7 +151,7 @@ def train(
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(tc.seed, spawn_key=(1,)))
 
     best_val = np.inf
-    best_state = {name: p.data.copy() for name, p in params}
+    best_state = {name: p.data.copy() for name, p in params}  # refreshed in place on each improving epoch
     bad_epochs = 0
     started = time.perf_counter()
 
@@ -173,7 +173,8 @@ def train(
         )
         if val_total < best_val:
             best_val = val_total
-            best_state = {name: p.data.copy() for name, p in params}
+            for name, p in params:
+                np.copyto(best_state[name], p.data)
             record.best_epoch = epoch
             bad_epochs = 0
         else:

@@ -239,6 +239,18 @@ def test_generate_validation_errors():
         SynthConfig(width_dilated=(20.0, 26.0))  # cannot fit the frame
 
 
+@pytest.mark.parametrize("key,value", [
+    ("image_size", (32, 32)),
+    ("image_size", (1, 32, 32, 4)),
+    ("rotation_range_train", (1.0, 2.0, 3.0)),
+    ("width_normal", (0.1,)),
+    ("translation_range", (1, 2)),
+])
+def test_synth_config_rejects_a_value_of_the_wrong_arity_naming_the_key(key, value):
+    with pytest.raises(ConfigurationError, match=rf"^{key} expects"):
+        SynthConfig(**{key: value})
+
+
 # ------------------------------------------------------------------------ ECAP
 
 

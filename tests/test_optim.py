@@ -18,7 +18,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
     p = param([1.0, -2.0, 3.0])
     opt = Adam([("p", p)], lr=0.1)
     for _ in range(3):
-        p.grad = np.zeros(3)
+        p.grad[...] = 0.0
         opt.step()
     assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
@@ -31,7 +31,7 @@ def test_constant_gradient_step_approaches_lr_sign():
     opt = Adam([("p", p)], lr=1e-3)
     prev = p.data.copy()
     for t in range(200):
-        p.grad = g.copy()
+        p.grad[...] = g
         opt.step()
         step = p.data - prev
         prev = p.data.copy()
@@ -57,7 +57,7 @@ def test_five_steps_match_scripted_oracle():
     p = param([1.0, -3.0, 0.5])
     opt = Adam([("p", p)], lr=lr)
     for _ in range(5):
-        p.grad = p.data.copy()
+        p.grad[...] = p.data
         opt.step()
     assert_allclose(p.data, expected, rtol=0, atol=1e-12)
 
@@ -66,7 +66,7 @@ def test_adam_descends_a_quadratic():
     p = param([4.0, -4.0])
     opt = Adam([("p", p)], lr=0.05)
     for _ in range(500):
-        p.grad = p.data.copy()
+        p.grad[...] = p.data
         opt.step()
     assert np.abs(p.data).max() < 0.05
 
@@ -75,8 +75,8 @@ def test_non_finite_gradient_aborts_naming_parameter():
     p = param([1.0])
     q = param([1.0])
     opt = Adam([("stem.weight", p), ("head.bias", q)], lr=0.1)
-    p.grad = np.array([0.0])
-    q.grad = np.array([np.nan])
+    p.grad[...] = 0.0
+    q.grad[...] = np.nan
     with pytest.raises(TrainingAborted) as err:
         opt.step()
     assert "head.bias" in str(err.value)
@@ -139,6 +139,23 @@ def test_step_leaves_the_array_a_parameter_was_built_from_alone():
     assert not np.array_equal(p.data, values)
 
 
+def test_a_gradient_is_allocated_on_first_read_and_kept_through_backward_zero_grad_and_step():
+    p = param([[1.0, -2.0, 3.0]])
+    opt = Adam([("p", p)], lr=0.1)
+    assert p._grad is None  # neither building the leaf nor the optimizer allocates it
+    grad = p.grad
+    assert grad.shape == (1, 3) and grad.dtype == np.float64
+    assert_array_equal(grad, np.zeros((1, 3)))
+    (p * p).sum().backward()
+    assert p.grad is grad
+    assert_array_equal(grad, 2.0 * p.data)
+    opt.step()
+    assert p.grad is grad
+    opt.zero_grad()
+    assert p.grad is grad
+    assert_array_equal(grad, np.zeros((1, 3)))
+
+
 def test_zero_grad_clears_accumulated_gradients():
     p = param([2.0])
     opt = Adam([("p", p)], lr=0.1)
@@ -162,3 +179,5 @@ def test_rejects_a_parameter_without_a_gradient_array():
     assert frozen.grad is None
     with pytest.raises(ConfigurationError, match="'frozen'"):
         Adam([("live", param([0.0])), ("frozen", frozen)])
+    with pytest.raises(ConfigurationError, match="'doubled'"):
+        Adam([("doubled", param([1.0]) * 2.0)])

@@ -208,7 +208,7 @@ def test_leaves_never_share_a_gradient_array(reshaped):
     w = Tensor(np.arange(6.0).reshape(2, 3))
     (((a.reshape((2, 3)) if reshaped else a) + b) * w).sum().backward()
     assert not np.shares_memory(a.grad, b.grad)
-    a.grad *= 2.0  # scaling one gradient in place leaves the other alone
+    a.grad[...] *= 2.0  # scaling one gradient in place leaves the other alone
     assert_array_equal(b.grad, w.data)
     assert_array_equal(a.grad, 2.0 * w.data.reshape(a.shape))
 

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from numpy.testing import assert_array_equal
 import capsroute
 from capsroute import blas
 from capsroute import (
+    CapsrouteError,
     ConfigurationError,
     EchoDataset,
     MarginLossParams,
@@ -144,6 +147,23 @@ def test_every_parameter_gets_a_gradient_above_rounding_noise(overrides):
     largest = {name: float(np.abs(p.grad).max()) for name, p in model.parameters()}
     floor = 1e-12 * max(largest.values())
     assert [name for name, g in largest.items() if g < floor] == []
+
+
+def test_building_the_default_model_holds_no_gradient_memory():
+    # 983,121 parameters at 3x32x32; a gradient array waits for its first read.
+    def build():
+        return build_model(ModelConfig(), (3, 32, 32), MarginLossParams(),
+                           WeightedLossParams(class_proportions=(0.5, 0.5)), seed=3)
+
+    build()  # the first build's lazy imports are not the model's memory
+    tracemalloc.start()
+    try:
+        model = build()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.data.nbytes for _, p in model.parameters())
+    assert param_bytes <= held <= 1.1 * param_bytes
 
 
 def test_capsule_grid_matches_conv_arithmetic():
@@ -569,6 +589,16 @@ def test_train_and_load_params_write_into_the_parameters_own_arrays(tmp_path):
             assert_array_equal(p.data, stored[name], err_msg=name)
 
 
+def test_build_load_and_evaluate_allocate_no_gradient_array(tmp_path):
+    _, _, test_set = tiny_splits()
+    path = tmp_path / "model.npz"
+    save_params(tiny_model(seed=4), path)
+    model = tiny_model()
+    load_params(model, path)
+    evaluate(model, test_set)
+    assert [name for name, p in model.parameters() if p._grad is not None] == []
+
+
 def test_load_rejects_missing_parameter(tmp_path):
     model = tiny_model()
     stored = {name: p.data for name, p in model.parameters()}
@@ -630,6 +660,54 @@ def test_load_rejects_an_unreadable_checkpoint_before_writing_any(tmp_path, cont
     with pytest.raises(ConfigurationError, match="model.npz"):
         load_params(model, path)
     assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.parameters()))
+
+
+def test_load_reports_a_missing_checkpoint_as_open_does(tmp_path):
+    with pytest.raises(FileNotFoundError, match="absent.npz"):
+        load_params(tiny_model(), tmp_path / "absent.npz")
+
+
+def small_checkpoint_model(seed):
+    cfg = ModelConfig(hidden_dim=8, d_primary=4, d_digit=4, conv_kernel=3, affine_kind="conv",
+                      decoder_hidden=(4, 8))
+    return build_model(cfg, (1, 12, 12), MarginLossParams(),
+                       WeightedLossParams(class_proportions=(0.5, 0.5)), seed=seed)
+
+
+def test_load_rejects_or_restores_exactly_under_single_bit_flips(tmp_path):
+    # Every bit of the largest member's zip and .npy headers, then one seeded bit at each
+    # of 400 seeded positions of a ~30 KB checkpoint. zipfile reads ahead 4 KiB, so only
+    # a larger member can stop short of its end, where its CRC is checked: a flip that
+    # shortened its .npy header length used to load shifted values unchecked.
+    source = small_checkpoint_model(seed=3)
+    path = tmp_path / "model.npz"
+    save_params(source, path)
+    blob = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        largest = max(archive.infolist(), key=lambda info: info.file_size).header_offset
+    want = [p.data.tobytes() for _, p in source.parameters()]
+    model = small_checkpoint_model(seed=4)
+    before = [p.data.copy() for _, p in model.parameters()]
+    untouched = [b.tobytes() for b in before]
+    rng = np.random.default_rng(21)
+    flips = [(pos, bit) for pos in range(largest, largest + 256) for bit in range(8)]
+    flips += [(int(pos), int(rng.integers(8))) for pos in rng.choice(len(blob), 400, replace=False)]
+    damaged = tmp_path / "damaged.npz"
+    loaded = 0
+    for pos, bit in flips:
+        data = bytearray(blob)
+        data[pos] ^= 1 << bit
+        damaged.write_bytes(data)
+        try:
+            load_params(model, damaged)
+        except CapsrouteError:
+            expected = untouched
+        else:
+            expected, loaded = want, loaded + 1
+        assert [p.data.tobytes() for _, p in model.parameters()] == expected, (pos, bit)
+        for b, (_, p) in zip(before, model.parameters()):
+            np.copyto(p.data, b)
+    assert 0 < loaded < len(flips)  # both outcomes occur
 
 
 def test_load_rejects_non_finite_parameter(tmp_path):
