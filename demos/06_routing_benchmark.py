@@ -17,5 +17,7 @@ for n_in in sorted({r.n_in for r in rows}):
 
 print()
 print("dynamic routing costs one weighted-sum + squash per round and one")
-print("agreement update between rounds; attention scores its votes once, so its")
-print("cost is close to a single dynamic round regardless of r.")
+print("agreement update and softmax between rounds. Its first round couples")
+print("every vote by the constant 1/N_out, so r=1 has no softmax and costs less")
+print("than attention, which scores and softmaxes its votes once before the same")
+print("weighted-sum + squash; from r=2 on, attention is the cheaper of the two.")

@@ -284,6 +284,11 @@ def dynamic_routing(votes: Tensor, iterations: int) -> tuple[CapsuleBank, Routin
     would feed nothing, so r rounds make r - 1 updates. Gradients flow through
     every iteration; nothing is detached.
 
+    The softmax of zero logits is 1 / N_out exactly, so round 1 couples every
+    vote by that constant and computes no softmax, and the first agreement
+    becomes the logits rather than being added to zeros. The bits are those of
+    starting from a zero tensor.
+
     The votes are read as the view u = [B, N_out, N_in, D_out] and the logits
     kept as [B, N_out, N_in], so the softmax runs over axis 1, the weighted
     vote sum is ``c @ u`` with c as [B, N_out, 1, N_in], and the agreement is
@@ -293,15 +298,17 @@ def dynamic_routing(votes: Tensor, iterations: int) -> tuple[CapsuleBank, Routin
         raise ConfigurationError(f"dynamic routing needs iterations >= 1, got {iterations}")
     bsz, n_in, n_out, d_out = _check_votes(votes)
     u = votes.transpose((0, 2, 1, 3))
-    logits = Tensor(np.zeros((bsz, n_out, n_in)))
+    coupling, logits = Tensor(np.full((bsz, n_out, n_in), 1.0 / n_out)), None
     state = RoutingState()
     for it in range(iterations):
-        coupling = softmax(logits, axis=1)
+        if logits is not None:
+            coupling = softmax(logits, axis=1)
         v = squash(matmul(coupling.reshape((bsz, n_out, 1, n_in)), u).reshape((bsz, n_out, d_out)))
         state.coefficients.append(coupling.data.transpose((0, 2, 1)))
         state.outputs.append(v.data)
         if it + 1 < iterations:
-            logits = logits + matmul(u, v.reshape((bsz, n_out, d_out, 1))).reshape((bsz, n_out, n_in))
+            agreement = matmul(u, v.reshape((bsz, n_out, d_out, 1))).reshape((bsz, n_out, n_in))
+            logits = agreement if logits is None else logits + agreement
     return CapsuleBank(v), state
 
 

@@ -130,9 +130,13 @@ class CapsuleClassifier:
         self.reg_head = RegressionHead(cfg.n_classes * cfg.d_digit, rng)
 
     def digit_caps(self, images: Tensor) -> Tensor:
-        """Digit capsules [B, n_classes, d_digit]: stem, primary capsules, votes, routing."""
-        x = conv2d(images, self.conv_weight, self.conv_bias, relu=True)
-        return self.routing(self.affine(self.primary(x)))[0].activations
+        """Digit capsules [B, n_classes, d_digit]: stem, primary capsules, votes, routing.
+
+        Neither the stem's output nor the primary capsules are bound to a name,
+        so without a graph each is freed once the next stage has read it.
+        """
+        votes = self.affine(self.primary(conv2d(images, self.conv_weight, self.conv_bias, relu=True)))
+        return self.routing(votes)[0].activations
 
     def training_loss(self, images: Tensor, labels: np.ndarray, reg_targets: np.ndarray):
         v = self.digit_caps(images)

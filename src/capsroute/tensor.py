@@ -384,26 +384,42 @@ def matmul(a, b) -> Tensor:
 
 
 def softmax(a, axis: int) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtracted)."""
+    """Numerically stable softmax along ``axis`` (max-subtracted).
+
+    Computed in place in the one array it returns: ``out = a - max``, then
+    ``exp`` and the division by the sum write into ``out``. The ufuncs and
+    the sum are those of ``e = exp(a - max); e / e.sum()``, so are the bits.
+    """
     a = _as_tensor(a)
     ax = _normalize_axis(axis, a.ndim, "softmax")
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = a.data - a.data.max(axis=ax, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
     return _from_op(out, (a, lambda g: out * (g - (g * out).sum(axis=ax, keepdims=True))))
 
 
 def log_softmax(a, axis: int) -> Tensor:
-    """Log of softmax along ``axis``, fused so no probability underflows to log(0)."""
+    """Log of softmax along ``axis``, fused so no probability underflows to log(0).
+
+    ``out = a - max`` is the array returned; the log of the summed ``exp(out)``
+    is subtracted from it in place.
+    """
     a = _as_tensor(a)
     ax = _normalize_axis(axis, a.ndim, "log_softmax")
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
+    out = a.data - a.data.max(axis=ax, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=ax, keepdims=True))
     return _from_op(out, (a, lambda g: g - np.exp(out) * g.sum(axis=ax, keepdims=True)))
 
 
 def vector_norm(a) -> Tensor:
     """Euclidean norm over the last axis, guarded as sqrt(sum(x^2) + NORM_EPS).
+
+    The sum of squares is computed in the one array returned, and the guard
+    and ``sqrt`` are applied to it in place. A last axis of fewer than 8
+    elements is summed as columns, ``x[..., 0]^2 + x[..., 1]^2 + ...`` left to
+    right, one pass per column instead of one reduction per row. That is the
+    order numpy's sum uses below 8 terms, so the bits are those of
+    ``(x * x).sum(axis=-1)``, which longer axes still use.
 
     Where the sum of squares overflows (norms past ~1e154), that vector is
     divided by its largest magnitude m first: m * sqrt(sum((x/m)^2) + NORM_EPS/m^2).
@@ -411,11 +427,19 @@ def vector_norm(a) -> Tensor:
     """
     a = _as_tensor(a)
     x = a.data
+    d = x.shape[-1]
     with np.errstate(over="ignore"):
-        out = np.sqrt((x * x).sum(axis=-1) + NORM_EPS)
+        if 0 < d < 8:
+            out = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
+            for i in range(1, d):
+                out += x[..., i] * x[..., i]
+        else:
+            out = np.asarray((x * x).sum(axis=-1))
+        out += NORM_EPS
+        np.sqrt(out, out=out)
     big = np.isinf(out)
     if big.any():
-        out, rows = np.array(out), x[big]
+        rows = x[big]
         m = np.abs(rows).max(axis=-1)
         out[big] = m * np.sqrt(np.square(rows / m[:, None]).sum(axis=-1) + NORM_EPS / m / m)
     return _from_op(out, (a, lambda g: (g / out)[..., None] * a.data))
@@ -468,9 +492,10 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, relu: bool = Fals
     are larger). Each block is one flat GEMM that reads the buffer while it is
     still in cache, and the bias is added to the block's output there. With
     ``relu`` the block's output is then multiplied in place by its mask
-    ``> 0``, the ``relu`` op's ufunc, so the result is ``relu(conv2d(...))``
-    bit for bit, signed zeros and NaN included. So the op's extra memory is
-    that buffer, not the whole batch's patch matrix nor a second output.
+    ``> 0``, the ``relu`` op's ufunc, written into one reused boolean buffer,
+    so the result is ``relu(conv2d(...))`` bit for bit, signed zeros and NaN
+    included. So the op's extra memory is those buffers, not the whole batch's
+    patch matrix nor a second output.
     BLAS may order a short product's sums otherwise than a long one's, so an
     image's output can differ in its last bits with the size of its block;
     the blocks follow from the shapes alone, so a batch's output does not vary.
@@ -525,13 +550,15 @@ def conv2d(x, w, bias=None, stride: int = 1, padding: int = 0, relu: bool = Fals
 
     flat = w.data.transpose(0, 2, 3, 1).reshape(c_out, n_cols)  # [C_out, k*k*C_in]
     out = np.empty((bsz, n_rows, c_out))
+    mask = np.empty((per_block, n_rows, c_out), dtype=bool) if relu else None
     for blk in blocks:
         out_blk = out[blk]
         np.matmul(gather(blk).reshape(-1, n_cols), flat.T, out=out_blk.reshape(-1, c_out))
         if bias is not None:
             out_blk += bias.data
         if relu:
-            np.multiply(out_blk, out_blk > 0, out=out_blk)
+            mask_blk = np.greater(out_blk, 0, out=mask[: blk.stop - blk.start])
+            np.multiply(out_blk, mask_blk, out=out_blk)
     y = out.transpose(0, 2, 1).reshape(bsz, c_out, ho, wo)
 
     def rows(g):

@@ -13,15 +13,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from capsroute.capsules import (
+    CapsuleBank,
     Routing,
     RoutingSpec,
+    RoutingState,
     attention_routing,
     dynamic_routing,
     squash,
 )
 from capsroute.errors import ConfigurationError, DimensionError
 from capsroute.gradcheck import fd_gradient, relative_error
-from capsroute.tensor import Tensor
+from capsroute.tensor import Tensor, matmul, softmax
 
 EPS = 1e-12
 
@@ -140,6 +142,38 @@ def test_dynamic_matches_loop_oracle_on_20_random_cases():
         for it in range(r):
             assert np.max(np.abs(state.coefficients[it] - want_c[it])) < 1e-10
             assert np.max(np.abs(state.outputs[it] - want_v[it])) < 1e-10
+
+
+def _dynamic_from_zero_logits(votes, iterations):
+    """``dynamic_routing`` as it read before round 1 became a constant: a zero
+    logits tensor, softmaxed every round and added to every agreement."""
+    bsz, n_in, n_out, d_out = votes.shape
+    u = votes.transpose((0, 2, 1, 3))
+    logits = Tensor(np.zeros((bsz, n_out, n_in)))
+    state = RoutingState()
+    for it in range(iterations):
+        coupling = softmax(logits, axis=1)
+        v = squash(matmul(coupling.reshape((bsz, n_out, 1, n_in)), u).reshape((bsz, n_out, d_out)))
+        state.coefficients.append(coupling.data.transpose((0, 2, 1)))
+        state.outputs.append(v.data)
+        if it + 1 < iterations:
+            logits = logits + matmul(u, v.reshape((bsz, n_out, d_out, 1))).reshape((bsz, n_out, n_in))
+    return CapsuleBank(v), state
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(3, 17, 2, 5), (2, 9, 10, 16), (1, 4, 3, 1)])
+def test_dynamic_constant_first_round_keeps_the_zero_logit_bits(r, shape):
+    rng = np.random.default_rng(6)
+    votes, g = rng.normal(size=shape), rng.normal(size=(shape[0], shape[2], shape[3]))
+    runs = []
+    for route in (dynamic_routing, _dynamic_from_zero_logits):
+        leaf_votes = leaf(votes)
+        bank, state = route(leaf_votes, r)
+        (bank.activations * g).sum().backward()
+        arrays = (*state.coefficients, *state.outputs, bank.activations.data, leaf_votes.grad)
+        runs.append([a.tobytes() for a in arrays])
+    assert runs[0] == runs[1]
 
 
 def test_dynamic_coupling_rows_sum_to_one_every_iteration():

@@ -1,5 +1,7 @@
 """Tensor core: forward values, broadcasting, and backward contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -90,6 +92,76 @@ def test_vector_norm_and_gradient_finite_past_square_overflow(scale):
     out.sum().backward()
     assert_allclose(x.grad, [[0.6, -0.8], [0.0, 0.0], [0.6, 0.8]], rtol=1e-15, atol=1e-15)
     assert T.vector_norm(leaf([scale, 0.0])).item() == scale
+
+
+# softmax, log_softmax and vector_norm compute in place, and vector_norm sums a
+# short last axis as columns. These are the formulas they replaced: the bits
+# must not move, so a change in numpy's reduction order fails here first.
+def _composed_softmax(x, ax):
+    shifted = x - x.max(axis=ax, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=ax, keepdims=True)
+
+
+def _composed_log_softmax(x, ax):
+    shifted = x - x.max(axis=ax, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
+
+
+def _composed_vector_norm(x):
+    with np.errstate(over="ignore"):
+        out = np.sqrt((x * x).sum(axis=-1) + T.NORM_EPS)
+    big = np.isinf(out)
+    if big.any():
+        out, rows = np.array(out), x[big]
+        m = np.abs(rows).max(axis=-1)
+        out[big] = m * np.sqrt(np.square(rows / m[:, None]).sum(axis=-1) + T.NORM_EPS / m / m)
+    return out
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_softmax_and_log_softmax_keep_the_composed_bits(axis):
+    x = np.random.default_rng(20).normal(size=(6, 5, 7)) * 20.0
+    x[0, 0, 0] = x[2, 3, 4] = x[5, 4, 6] = x[1, 1, 1] = -np.inf  # no slice is all -inf
+    for op, composed in ((T.softmax, _composed_softmax), (T.log_softmax, _composed_log_softmax)):
+        assert op(leaf(x), axis=axis).data.tobytes() == composed(x, axis).tobytes(), op.__name__
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e160, 1e200])
+def test_vector_norm_keeps_the_composed_bits_for_every_short_and_long_axis(scale):
+    rng = np.random.default_rng(21)
+    for d in range(1, 17):
+        x = rng.normal(size=(4, 6, d)) * scale
+        x[0, 0], x[0, 1], x[1, 2, ::2] = 0.0, -0.0, -0.0
+        for layout in (x, np.asfortranarray(x), x.transpose(1, 0, 2)):
+            assert T.vector_norm(leaf(layout)).data.tobytes() == _composed_vector_norm(layout).tobytes(), d
+        assert T.vector_norm(leaf(x[0, 3])).data.tobytes() == _composed_vector_norm(x[0, 3]).tobytes(), d
+
+
+def _traced_peak(op, x):
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = op(x)
+        return tracemalloc.get_traced_memory()[1], out.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_softmax_and_vector_norm_allocate_no_full_size_temporary():
+    # Beyond its output, each op may hold one array of its sum's shape (softmax's
+    # [B, 1, N] sum, one squared column of vector_norm) plus a small constant.
+    # The composed formulas held two more outputs (softmax) or the whole
+    # squared input (vector_norm).
+    rng = np.random.default_rng(22)
+    slack = 128 << 10
+    for axis in (1, 2):
+        x = rng.normal(size=(60, 2, 784))
+        peak, out = _traced_peak(lambda t: T.softmax(t, axis), x)
+        assert peak <= out + out // x.shape[axis] + slack, axis
+    for d in (1, 4, 7):
+        peak, out = _traced_peak(T.vector_norm, rng.normal(size=(60, 784, d)))
+        assert peak <= (1 if d == 1 else 2) * out + slack, d
 
 
 def test_sigmoid_matches_closed_form():

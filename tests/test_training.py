@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 import zipfile
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from capsroute import (
     validation_loss,
 )
 from capsroute.experiment import lambda_table
-from capsroute.tensor import vector_norm
+from capsroute.tensor import no_grad, vector_norm
 from capsroute.training import EpochStats, ExperimentRecord
 
 TINY_SYNTH = SynthConfig(
@@ -104,6 +105,28 @@ def test_capsule_predict_reads_only_the_digit_capsules(overrides):
     preds, scores = model.predict(images)
     assert_array_equal(preds, want_preds)
     assert_array_equal(scores, want_scores)
+
+
+@CAPSULE_VARIANTS
+def test_predict_frees_the_stem_output_before_the_votes(overrides):
+    # Without a graph nothing else holds the stem's activations, so once the
+    # primary capsules are formed they must not outlive the call.
+    model = tiny_model(**overrides)
+    images = Tensor(np.random.default_rng(4).uniform(size=(5, 1, 20, 20)))
+    primary, affine, stem = model.primary, model.affine, []
+
+    def primary_noting_its_input(features):
+        stem.append(weakref.ref(features.data))
+        return primary(features)
+
+    def affine_checking_the_stem_is_freed(bank):
+        assert stem[0]() is None, "the stem's output is held through the votes"
+        return affine(bank)
+
+    model.primary, model.affine = primary_noting_its_input, affine_checking_the_stem_is_freed
+    with no_grad():
+        model.predict(images)
+    assert len(stem) == 1
 
 
 @CAPSULE_VARIANTS
