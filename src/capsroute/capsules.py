@@ -87,16 +87,9 @@ def conv_params(c_out: int, c_in: int, k: int, rng: np.random.Generator) -> tupl
 
 @dataclass
 class CapsuleBank:
-    """A set of capsule vectors plus the spatial layout they came from.
-
-    ``grid`` and ``caps_per_cell`` are retained for transforms that need the
-    original feature-map arrangement (e.g. convolutional vote kernels); digit
-    banks carry neither.
-    """
+    """A set of capsule vectors; a layer that needs their grid is built with it."""
 
     activations: Tensor  # [B, n_caps, d]
-    grid: tuple[int, int] | None = None
-    caps_per_cell: int | None = None
 
 
 class PrimaryCapsules:
@@ -132,7 +125,7 @@ class PrimaryCapsules:
         caps = z.reshape((bsz, self.caps_per_cell, self.d, hg, wg))
         caps = caps.transpose((0, 3, 4, 1, 2))
         caps = caps.reshape((bsz, hg * wg * self.caps_per_cell, self.d))
-        return CapsuleBank(squash(caps), grid=(hg, wg), caps_per_cell=self.caps_per_cell)
+        return CapsuleBank(squash(caps))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -180,31 +173,32 @@ class ConvAffine:
 
     def __init__(
         self,
+        grid: tuple[int, int],
         caps_per_cell: int,
         d_in: int,
         n_out: int,
         d_out: int,
         rng: np.random.Generator,
     ):
-        self.d_in = d_in
+        self.grid, self.caps_per_cell, self.d_in = grid, caps_per_cell, d_in
         self.n_out, self.d_out = n_out, d_out
         self.weight, self.bias = conv_params(
             caps_per_cell * n_out * d_out, caps_per_cell * d_in, 3, rng
         )
 
     def __call__(self, bank: CapsuleBank) -> Tensor:
-        if bank.grid is None or bank.caps_per_cell is None:
-            raise ConfigurationError("convolutional votes need a grid-structured capsule bank")
-        hg, wg = bank.grid
-        cpl = bank.caps_per_cell
         u = bank.activations
-        bsz = u.shape[0]
+        bsz, n, d = u.shape
+        (hg, wg), cpl = self.grid, self.caps_per_cell
+        if (n, d) != (hg * wg * cpl, self.d_in):
+            raise DimensionError(f"conv affine built for a {hg}x{wg} grid of {cpl} capsules of size "
+                                 f"{self.d_in} per cell, got {n} capsules of size {d}")
         fmap = u.reshape((bsz, hg, wg, cpl, self.d_in))
         fmap = fmap.transpose((0, 3, 4, 1, 2)).reshape((bsz, cpl * self.d_in, hg, wg))
         z = conv2d(fmap, self.weight, self.bias, padding=1)
         votes = z.reshape((bsz, cpl, self.n_out, self.d_out, hg, wg))
         votes = votes.transpose((0, 4, 5, 1, 2, 3))
-        return votes.reshape((bsz, hg * wg * cpl, self.n_out, self.d_out))
+        return votes.reshape((bsz, n, self.n_out, self.d_out))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("weight", self.weight), ("bias", self.bias)]
@@ -294,8 +288,7 @@ def dynamic_routing(votes: Tensor, iterations: int) -> tuple[CapsuleBank, Routin
     vote sum is ``c @ u`` with c as [B, N_out, 1, N_in], and the agreement is
     ``u @ v`` with v as [B, N_out, D_out, 1].
     """
-    if iterations < 1:
-        raise ConfigurationError(f"dynamic routing needs iterations >= 1, got {iterations}")
+    check_integer("iterations", iterations, 1)
     bsz, n_in, n_out, d_out = _check_votes(votes)
     u = votes.transpose((0, 2, 1, 3))
     coupling, logits = Tensor(np.full((bsz, n_out, n_in), 1.0 / n_out)), None

@@ -199,6 +199,8 @@ def generate(
             f"got index_offset={index_offset} for {n} samples"
         )
     rot = rotation_range if rotation_range is not None else cfg.rotation_range_train
+    if np.shape(rot) != (2,) or not np.isfinite(rot).all() or rot[0] > rot[1]:
+        raise ConfigurationError(f"rotation_range must be two finite values with lo <= hi, got {rot!r}")
     n_pos = int(round(n * cfg.positive_ratio))
     if n_pos == 0 or n_pos == n:
         raise ConfigurationError(

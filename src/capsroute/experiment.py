@@ -177,8 +177,10 @@ def sweep_lambda(
             f"got {tuple(cfg['split_fractions'])}"
         )
     run_cfgs = [{**cfg, "lambda_reg": float(lam)} for lam in grid]
-    for run_cfg in run_cfgs:
+    for run_cfg in run_cfgs[:1]:  # one model checks the geometry every run shares
         _checked(run_cfg)
+    for run_cfg in run_cfgs[1:]:
+        cfg_mod.weighted_params_from(run_cfg)
     splits = prepare_splits(cfg)
     return [(run_cfg["lambda_reg"], run_experiment(run_cfg, splits=splits)[1]) for run_cfg in run_cfgs]
 

@@ -200,7 +200,7 @@ def standard_suite(seed: int = 7) -> list[GradCheckResult]:
     op("layer.primary_capsules", prim.weight,
        lambda: T.square(prim(pimg).activations).sum(), tol=1e-5)
 
-    bank = capsules.CapsuleBank(leaf(2, 12, 4), grid=(2, 3), caps_per_cell=2)
+    bank = capsules.CapsuleBank(leaf(2, 12, 4))
     shared = capsules.SharedAffine(12, 4, 3, 5, rng)
     # A fixed weight in the votes' [B, N_in, N_out, D_out] contract: votes in
     # any other layout fail to broadcast.
@@ -208,7 +208,7 @@ def standard_suite(seed: int = 7) -> list[GradCheckResult]:
     op("layer.shared_affine", shared.weight, lambda: (T.square(shared(bank)) * vmask).sum(), tol=1e-5)
     op("layer.shared_affine_input", bank.activations,
        lambda: (T.square(shared(bank)) * vmask).sum(), tol=1e-5)
-    convaff = capsules.ConvAffine(2, 4, 3, 5, rng)
+    convaff = capsules.ConvAffine((2, 3), 2, 4, 3, 5, rng)
     op("layer.conv_affine", convaff.weight, lambda: T.square(convaff(bank)).sum(), tol=1e-5)
 
     # B, N_in, N_out and D_out all differ, so routing over a swapped axis fails on shape.

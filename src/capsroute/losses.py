@@ -79,8 +79,10 @@ class WeightedLossParams:
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels.astype(np.int64)] = 1.0
+    out = (labels[:, None] == np.arange(n_classes)).astype(np.float64)
+    bad = np.flatnonzero(~out.any(axis=1))
+    if bad.size:
+        raise ContractError(f"labels must be integers in [0, {n_classes}), got {labels[bad[0]]} at index {bad[0]}")
     return out
 
 

@@ -45,7 +45,7 @@ __all__ = ["ModelConfig", "CapsuleClassifier", "CnnClassifier", "build_model",
            "parameter_count", "save_params", "load_params"]
 
 ARCHITECTURES = ("cardiocaps", "cnn1", "cnn2")
-_PRIMARY_STRIDE = 2  # of the primary-capsule conv; sets the capsule grid SharedAffine is sized for
+_PRIMARY_STRIDE = 2  # of the primary-capsule conv; sets the capsule grid the votes are built for
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class CapsuleClassifier:
         if cfg.affine_kind == "shared":
             self.affine = SharedAffine(hg * wg * cpc, cfg.d_primary, cfg.n_classes, cfg.d_digit, rng)
         elif cfg.affine_kind == "conv":
-            self.affine = ConvAffine(cpc, cfg.d_primary, cfg.n_classes, cfg.d_digit, rng)
+            self.affine = ConvAffine((hg, wg), cpc, cfg.d_primary, cfg.n_classes, cfg.d_digit, rng)
         else:
             self.affine = ConstantAffine(cfg.n_classes, cfg.d_digit)
         self.routing = Routing(cfg.routing, cfg.d_digit)

@@ -95,9 +95,8 @@ def test_primary_capsule_count_and_dimension():
     layer = PrimaryCapsules(in_channels=4, out_channels=16, d=8, kernel=9, stride=2, rng=rng)
     bank = layer(leaf(rng.normal(size=(1, 4, 15, 15))))
     # (15 - 9) // 2 + 1 = 4 per side; 4*4 cells * 2 capsules per cell = 32
-    assert bank.grid == (4, 4)
-    assert bank.activations.shape == (1, 32, 8)
-    assert bank.caps_per_cell == 2
+    assert layer.caps_per_cell == 2
+    assert bank.activations.shape == (1, 4 * 4 * 2, 8)
 
 
 def test_primary_capsule_norms_below_one():
@@ -116,8 +115,8 @@ def test_primary_capsules_shift_with_input_by_one_grid_cell():
     full = rng.normal(size=(1, 2, 15, 13))
     upper = layer(leaf(full[:, :, :13, :]))
     lower = layer(leaf(full[:, :, 2:, :]))
-    hg, wg = upper.grid
-    cpl = upper.caps_per_cell
+    hg = wg = (13 - 5) // 2 + 1
+    cpl = layer.caps_per_cell
     a = upper.activations.data.reshape(1, hg, wg, cpl, 8)
     b = lower.activations.data.reshape(1, hg, wg, cpl, 8)
     assert_allclose(a[:, 1:], b[:, :-1], rtol=0, atol=1e-12)
@@ -147,8 +146,7 @@ def test_primary_capsules_gradcheck():
 
 
 def grid_bank(rng, hg=2, wg=3, cpl=2, d=4) -> CapsuleBank:
-    u = leaf(rng.normal(size=(2, hg * wg * cpl, d)))
-    return CapsuleBank(u, grid=(hg, wg), caps_per_cell=cpl)
+    return CapsuleBank(leaf(rng.normal(size=(2, hg * wg * cpl, d))))
 
 
 def test_constant_affine_sums_components():
@@ -199,7 +197,7 @@ def test_shared_affine_rejects_wrong_bank_shape():
 def test_conv_affine_shapes_and_locality():
     rng = np.random.default_rng(9)
     bank = grid_bank(rng, hg=3, wg=3, cpl=2, d=4)
-    layer = ConvAffine(caps_per_cell=2, d_in=4, n_out=2, d_out=5, rng=rng)
+    layer = ConvAffine(grid=(3, 3), caps_per_cell=2, d_in=4, n_out=2, d_out=5, rng=rng)
     votes = layer(bank)
     assert votes.shape == (2, 18, 2, 5)
 
@@ -207,21 +205,25 @@ def test_conv_affine_shapes_and_locality():
     # bottom-right cell. Perturb the far corner and check the near corner.
     moved = bank.activations.data.copy()
     moved[:, -2:, :] += 10.0
-    votes2 = layer(CapsuleBank(leaf(moved), grid=(3, 3), caps_per_cell=2))
+    votes2 = layer(CapsuleBank(leaf(moved)))
     assert_allclose(votes2.data[:, :2], votes.data[:, :2], atol=1e-12)
     assert not np.allclose(votes2.data[:, -2:], votes.data[:, -2:])
 
 
-def test_conv_affine_requires_grid():
-    layer = ConvAffine(caps_per_cell=2, d_in=4, n_out=2, d_out=5, rng=np.random.default_rng(0))
-    with pytest.raises(ConfigurationError):
-        layer(CapsuleBank(leaf(np.zeros((1, 8, 4)))))
+@pytest.mark.parametrize("shape", [(1, 10, 4), (1, 14, 4), (1, 12, 3), (1, 12, 5)])
+def test_conv_affine_rejects_a_bank_off_its_grid(shape):
+    # Built for a 2x3 grid of two 4-d capsules per cell: 12 capsules of size 4.
+    layer = ConvAffine(grid=(2, 3), caps_per_cell=2, d_in=4, n_out=2, d_out=5,
+                       rng=np.random.default_rng(0))
+    assert layer(CapsuleBank(leaf(np.zeros((1, 12, 4))))).shape == (1, 12, 2, 5)
+    with pytest.raises(DimensionError, match="2x3 grid"):
+        layer(CapsuleBank(leaf(np.zeros(shape))))
 
 
 def test_conv_affine_gradcheck():
     rng = np.random.default_rng(10)
     bank = grid_bank(rng, hg=2, wg=2, cpl=2, d=3)
-    layer = ConvAffine(caps_per_cell=2, d_in=3, n_out=2, d_out=4, rng=rng)
+    layer = ConvAffine(grid=(2, 2), caps_per_cell=2, d_in=3, n_out=2, d_out=4, rng=rng)
     weights = rng.normal(size=(2, 8, 2, 4))
 
     def run():

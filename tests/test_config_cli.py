@@ -458,6 +458,29 @@ def test_cli_sweep_lambda_rejects_out_of_range_values_before_any_data_work(
     assert not out.exists()
 
 
+def test_sweep_lambda_builds_one_model_before_any_data_work(monkeypatch):
+    # Only lambda_reg varies across the grid, so the first point's model checks the
+    # geometry of every point; each later point needs only its loss weighting checked.
+    built = []
+    build_model = experiment.build_model
+    monkeypatch.setattr(experiment, "build_model", lambda *a, **kw: built.append(a) or build_model(*a, **kw))
+
+    def prepare_splits(cfg):
+        raise LookupError(f"data work after {len(built)} model builds")
+
+    monkeypatch.setattr(experiment, "prepare_splits", prepare_splits)
+    cfg = resolve(dict(item.split("=") for item in TINY_SETTINGS))
+    with pytest.raises(LookupError, match="after 1 model builds"):
+        experiment.sweep_lambda(cfg, experiment.DEFAULT_LAMBDA_GRID)
+
+
+def test_sweep_lambda_rejects_a_later_points_value_before_any_data_work(monkeypatch):
+    _forbid(monkeypatch, experiment, "prepare_splits")
+    cfg = resolve(dict(item.split("=") for item in TINY_SETTINGS))
+    with pytest.raises(ConfigurationError, match="lambda_reg"):
+        experiment.sweep_lambda(cfg, (0.05, 0.1, -1.0))
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -576,11 +599,11 @@ def test_cli_train_rejects_a_data_file_of_another_image_shape(tmp_path, capsys, 
 
 
 def test_cli_eval_rejects_a_data_file_of_another_image_shape(tmp_path, capsys, monkeypatch):
-    # Convolutional votes and routing run at any image size, so without the
+    # Constant votes and routing run at any image size, so without the
     # check this run scores 24x24 images with its 20x20 weights and exits 0.
     run_dir = tmp_path / "run"
-    conv_run = tiny_args("affine_kind=conv", "routing_method=dynamic", "max_epochs=1")
-    assert main(["train", *conv_run, "--run-dir", str(run_dir)]) == 0
+    constant_run = tiny_args("affine_kind=constant", "routing_method=dynamic", "max_epochs=1")
+    assert main(["train", *constant_run, "--run-dir", str(run_dir)]) == 0
     ecap = _tiny_ecap(tmp_path, "1,24,24")
     _forbid(monkeypatch, experiment, "build_model")
     capsys.readouterr()

@@ -251,6 +251,15 @@ def test_synth_config_rejects_a_value_of_the_wrong_arity_naming_the_key(key, val
         SynthConfig(**{key: value})
 
 
+@pytest.mark.parametrize("rotation_range", [(float("nan"), 0.0), (0.0, float("inf")), (1.0,),
+                                            (1.0, 2.0, 3.0), (10.0, -10.0)])
+def test_generate_rejects_a_bad_rotation_range_naming_it(rotation_range):
+    # As SynthConfig checks its own ranges: NaN would render every image without
+    # its chamber, and (1.0,) would reach an IndexError.
+    with pytest.raises(ConfigurationError, match="^rotation_range"):
+        generate(small_cfg(n_samples=4), rotation_range=rotation_range)
+
+
 # ------------------------------------------------------------------------ ECAP
 
 

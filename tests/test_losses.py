@@ -89,6 +89,20 @@ def test_margin_loss_gradient_matches_finite_differences():
     assert relative_error(norms.grad, fd_gradient(run, norms)) < 1e-6
 
 
+@pytest.mark.parametrize("labels, first_bad", [([0, 1, -1], "-1 at index 2"), ([0.7, 1], "0.7 at index 0"),
+                                               ([1, 2, 3], "2 at index 1"), ([0, np.nan], "nan at index 1")])
+def test_one_hot_rejects_labels_outside_the_classes_naming_the_first(labels, first_bad):
+    # Unchecked, -1 indexes class 1, 0.7 truncates to class 0 and 2 raises a raw IndexError.
+    with pytest.raises(ContractError, match=rf"in \[0, 2\), got {first_bad}"):
+        one_hot(np.array(labels), 2)
+
+
+def test_one_hot_accepts_integral_labels_of_any_dtype():
+    want = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    for labels in (np.array([0, 1, 1], np.uint8), np.array([0, 1, 1]), np.array([0.0, 1.0, 1.0])):
+        assert np.array_equal(one_hot(labels, 2), want)
+
+
 def test_margin_rejects_non_one_hot_targets():
     with pytest.raises(ContractError):
         margin_loss(leaf([[0.5, 0.5]]), np.array([[0.5, 0.5]]))

@@ -212,6 +212,13 @@ def test_dynamic_rejects_zero_iterations():
         dynamic_routing(leaf(np.zeros((1, 2, 2, 2))), iterations=0)
 
 
+@pytest.mark.parametrize("iterations", [2.0, True, np.float64(3.0)])
+def test_dynamic_rejects_iterations_that_are_not_integers(iterations):
+    # As RoutingSpec checks routing_iterations: 2.0 would reach range() and True run one round.
+    with pytest.raises(ConfigurationError, match="iterations must be an integer"):
+        dynamic_routing(leaf(np.zeros((1, 2, 2, 2))), iterations=iterations)
+
+
 @pytest.mark.parametrize("shape", [(0, 2, 2, 2), (1, 0, 2, 2), (1, 2, 0, 2), (1, 2, 2, 0)])
 def test_routing_rejects_empty_votes(shape):
     votes = leaf(np.zeros(shape))

@@ -191,8 +191,9 @@ def test_building_the_default_model_holds_no_gradient_memory():
 
 def test_capsule_grid_matches_conv_arithmetic():
     # 20 -> conv9 -> 12 -> primary conv9 stride2 -> grid 2x2, two capsules per cell
+    assert tiny_model(affine_kind="conv").affine.grid == (2, 2)
     model = tiny_model()
-    assert model.primary(Tensor(np.zeros((1, 16, 12, 12)))).grid == (2, 2)
+    assert model.primary(Tensor(np.zeros((1, 16, 12, 12)))).activations.shape == (1, 2 * 2 * 2, 8)
     assert model.affine.weight.shape[0] == 2 * 2 * 2
 
 
