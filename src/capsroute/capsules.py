@@ -228,7 +228,7 @@ class ConstantAffine:
 _SOFTMAX_AXES = {"input_caps": 2, "output_caps": 1}  # softmax axis of the [B, N_out, N_in] logits
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingSpec:
     """How votes become output capsules.
 

@@ -44,7 +44,7 @@ def _emit(out: str | None, text: str) -> None:
 
 def _cmd_gen_data(args) -> int:
     cfg = _resolved_config(args)
-    dataset = data.generate(cfg_mod.synth_config_from(cfg))
+    dataset = data.generate(cfg_mod.build(data.SynthConfig, cfg))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     data.save(dataset, args.out)
     n_pos = int(dataset.labels.sum())

@@ -13,7 +13,7 @@ malformed or non-finite values raise ``ConfigurationError``. Command-line
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -29,10 +29,7 @@ __all__ = [
     "SCHEMA",
     "parse_config_file",
     "resolve",
-    "synth_config_from",
-    "model_config_from",
-    "train_config_from",
-    "margin_params_from",
+    "build",
     "default_config_text",
 ]
 
@@ -156,31 +153,16 @@ def config_snapshot(cfg: dict[str, Any]) -> dict[str, str]:
     return {k: format_value(cfg[k]) for k in sorted(cfg)}
 
 
-def _build(cls: type, cfg: dict[str, Any], **fixed):
-    """Instantiate ``cls`` from the config keys it owns plus the ``fixed`` fields."""
+def build(cls: type, cfg: dict[str, Any]):
+    """Instantiate the config dataclass ``cls`` from the keys of ``cfg`` it owns.
+
+    A field whose default is itself a config dataclass, as ``ModelConfig.routing``
+    is, is built from ``cfg`` the same way. Each dataclass checks its own values,
+    so a value out of range raises ``ConfigurationError`` naming its key.
+    """
     owned = {name: cfg[key] for key, (owner, name, _) in _KEYS.items() if owner is cls}
-    return cls(**owned, **fixed)
-
-
-def synth_config_from(cfg: dict[str, Any]) -> SynthConfig:
-    return _build(SynthConfig, cfg)
-
-
-def model_config_from(cfg: dict[str, Any]) -> ModelConfig:
-    return _build(ModelConfig, cfg, routing=_build(RoutingSpec, cfg))
-
-
-def train_config_from(cfg: dict[str, Any]) -> TrainConfig:
-    return _build(TrainConfig, cfg)
-
-
-def margin_params_from(cfg: dict[str, Any]) -> MarginLossParams:
-    return _build(MarginLossParams, cfg)
-
-
-def weighted_params_from(cfg: dict[str, Any]) -> WeightedLossParams:
-    """The loss weighting of ``cfg``, at the default class proportions."""
-    return _build(WeightedLossParams, cfg)
+    nested = {f.name: build(f.default_factory, cfg) for f in fields(cls) if is_dataclass(f.default_factory)}
+    return cls(**owned, **nested)
 
 
 def default_config_text() -> str:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError, StratificationError, check_finite, check_integer
+from .errors import (ConfigurationError, ContractError, DataFormatError, StratificationError, check_finite,
+                     check_integer)
 
 __all__ = ["SynthConfig", "EchoDataset", "generate", "save", "load", "check_split", "split",
            "class_proportions"]
@@ -193,7 +194,8 @@ def generate(
     one broadcast pass per channel.
     """
     n = cfg.n_samples
-    if index_offset < 0 or index_offset + n > _SHUFFLE_STREAM:
+    check_integer("index_offset", index_offset, 0)
+    if index_offset + n > _SHUFFLE_STREAM:
         raise ConfigurationError(
             f"index_offset must keep sample indices in [0, 2**63), below the label stream's key; "
             f"got index_offset={index_offset} for {n} samples"
@@ -366,8 +368,12 @@ def split(
 
 
 def class_proportions(labels: np.ndarray) -> tuple[float, float]:
-    """Empirical frequencies of classes 0 and 1, the input for loss weighting."""
-    y = np.asarray(labels, dtype=np.int64)
+    """Empirical frequencies of classes 0 and 1, the input for loss weighting.
+    Every label must equal 0 or 1; an integral float does."""
+    y = np.asarray(labels)
     if y.size == 0:
         raise ConfigurationError("cannot compute class proportions of an empty set")
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise ContractError(f"labels must be 0 or 1, got {y[bad[0]]} at index {bad[0]}")
     return tuple(float(np.sum(y == k)) / y.size for k in (0, 1))

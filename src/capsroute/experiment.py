@@ -13,14 +13,13 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import config as cfg_mod
-from .data import EchoDataset, check_split, class_proportions, generate, load, split
+from .data import EchoDataset, SynthConfig, check_split, class_proportions, generate, load, split
 from .errors import ConfigurationError
+from .losses import MarginLossParams, WeightedLossParams
 from .metrics import format_value
-from .models import build_model, load_params, save_params
-from .training import ExperimentRecord, evaluate, train
+from .models import ModelConfig, build_model, load_params, save_params
+from .training import ExperimentRecord, TrainConfig, evaluate, train
 
 __all__ = ["prepare_splits", "build_configured_model", "run_experiment", "save_run", "load_run",
            "sweep_lambda", "lambda_table"]
@@ -60,7 +59,7 @@ def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, Ec
             raise ConfigurationError("rotation_shift_test=true renders its own test split; "
                                      "it cannot be used with a data file")
         return split(_load_for(cfg, data_path), fractions, cfg["split_seed"])
-    synth = cfg_mod.synth_config_from(cfg)
+    synth = cfg_mod.build(SynthConfig, cfg)
     if not cfg["rotation_shift_test"]:
         pool = generate(synth)
         return split(pool, fractions, cfg["split_seed"])
@@ -81,23 +80,13 @@ def prepare_splits(cfg: dict[str, Any], data_path=None) -> tuple[EchoDataset, Ec
     return train_set, val_set, test_set
 
 
-def build_configured_model(cfg: dict[str, Any], labels: np.ndarray | None = None):
-    """Build the configured model, weighting its loss by the class mix of ``labels``
-    (the default proportions if None). Building it checks every model and loss
-    value, and the spatial arithmetic of the architecture on ``image_size``."""
-    weighted = cfg_mod.weighted_params_from(cfg)
-    if labels is not None:
-        weighted = replace(weighted, class_proportions=class_proportions(labels))
-    return build_model(cfg_mod.model_config_from(cfg), cfg["image_size"],
-                       cfg_mod.margin_params_from(cfg), weighted, seed=cfg["seed"])
-
-
-def _checked(cfg: dict[str, Any]):
-    """The model of ``cfg``, at the default class proportions, and its ``TrainConfig``;
-    building them checks every range and the model's geometry. The ``TrainConfig``
-    comes first: it checks the ``seed`` the model's initial weights are drawn from."""
-    train_config = cfg_mod.train_config_from(cfg)
-    return build_configured_model(cfg), train_config
+def build_configured_model(cfg: dict[str, Any]):
+    """Build the configured model, its loss at the default class proportions.
+    Building it checks every model and loss value, the seed, and the spatial
+    arithmetic of the architecture on ``image_size``."""
+    return build_model(cfg_mod.build(ModelConfig, cfg), cfg["image_size"],
+                       cfg_mod.build(MarginLossParams, cfg), cfg_mod.build(WeightedLossParams, cfg),
+                       seed=cfg["seed"])
 
 
 def run_experiment(
@@ -108,7 +97,7 @@ def run_experiment(
     """Train one model per the config and evaluate it on every split.
 
     The splits are ``splits`` if given, else ``prepare_splits(cfg, data_path)``.
-    The model and training dataclasses are built before them, so a value out
+    The ``TrainConfig`` and the model are built before them, so a value out
     of range or a model that does not fit ``image_size`` fails before any data
     work; the initial weights depend only on ``seed``, and the train split's
     class mix then weights the loss. Returns (model, record); the record
@@ -116,10 +105,12 @@ def run_experiment(
     it bit for bit (timings aside). With ``data_path`` it also holds the
     file's SHA-256, since the snapshot's generator settings did not make it.
     """
-    model, train_config = _checked(cfg)
+    train_config = cfg_mod.build(TrainConfig, cfg)
+    model = build_configured_model(cfg)
     train_set, val_set, test_set = splits if splits is not None else prepare_splits(cfg, data_path)
     model.weighted = replace(model.weighted, class_proportions=class_proportions(train_set.labels))
-    record = train(model, train_set, val_set, train_config, cfg_mod.config_snapshot(cfg))
+    record = train(model, train_set, val_set, train_config)
+    record.config = cfg_mod.config_snapshot(cfg)
     if data_path is not None:
         record.data_sha256 = hashlib.sha256(Path(data_path).read_bytes()).hexdigest()
     record.metrics["train"] = evaluate(model, train_set)
@@ -145,16 +136,17 @@ def save_run(run_dir, model, record: ExperimentRecord) -> None:
 def load_run(run_dir, data_path) -> tuple[Any, EchoDataset]:
     """Restore a trained run's model from its ``config.txt`` and ``model.npz``.
 
-    Returns the model and the ECAP dataset at ``data_path``, whose class mix
-    weights the model's loss. The run directory is checked before the data is
-    read, and the data's image shape before the model is built.
+    Returns the model and the ECAP dataset at ``data_path``. The model is built
+    as ``run_experiment`` builds it, its loss at the default class proportions:
+    evaluation reads only its predictions. The run directory is checked before
+    the data is read, and the data's image shape before the model is built.
     """
     run_dir = Path(run_dir)
     if not (run_dir / "config.txt").is_file():
         raise ConfigurationError(f"{run_dir} is not a run directory (no config.txt)")
     cfg = cfg_mod.resolve(cfg_mod.parse_config_file(run_dir / "config.txt"))
     dataset = _load_for(cfg, data_path)
-    model = build_configured_model(cfg, dataset.labels)
+    model = build_configured_model(cfg)
     load_params(model, run_dir / "model.npz")
     return model, dataset
 
@@ -178,9 +170,10 @@ def sweep_lambda(
         )
     run_cfgs = [{**cfg, "lambda_reg": float(lam)} for lam in grid]
     for run_cfg in run_cfgs[:1]:  # one model checks the geometry every run shares
-        _checked(run_cfg)
+        cfg_mod.build(TrainConfig, run_cfg)
+        build_configured_model(run_cfg)
     for run_cfg in run_cfgs[1:]:
-        cfg_mod.weighted_params_from(run_cfg)
+        cfg_mod.build(WeightedLossParams, run_cfg)
     splits = prepare_splits(cfg)
     return [(run_cfg["lambda_reg"], run_experiment(run_cfg, splits=splits)[1]) for run_cfg in run_cfgs]
 

@@ -235,6 +235,7 @@ def build_model(
     seed: int,
 ):
     """Construct the configured architecture with its own deterministic init stream."""
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     if cfg.architecture == "cardiocaps":
         return CapsuleClassifier(cfg, image_size, margin, weighted, rng)

@@ -61,8 +61,8 @@ class EpochStats:
 class ExperimentRecord:
     """Everything needed to describe (and re-run) one training run."""
 
-    config: dict[str, str]
     seed: int
+    config: dict[str, str] = field(default_factory=dict)  # the resolved config, as strings
     epochs: list[EpochStats] = field(default_factory=list)
     metrics: dict[str, MetricsReport] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
@@ -132,7 +132,6 @@ def train(
     train_set: EchoDataset,
     val_set: EchoDataset,
     tc: TrainConfig,
-    config_snapshot: dict[str, str] | None = None,
 ) -> ExperimentRecord:
     """Optimize ``model`` with Adam and patience-based early stopping.
 
@@ -145,7 +144,7 @@ def train(
         raise ConfigurationError(
             f"train() needs non-empty splits, got {len(train_set)} train / {len(val_set)} val"
         )
-    record = ExperimentRecord(config=dict(config_snapshot or {}), seed=tc.seed)
+    record = ExperimentRecord(seed=tc.seed)
     params = model.parameters()
     optimizer = Adam(params, lr=tc.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(tc.seed, spawn_key=(1,)))

@@ -1,5 +1,7 @@
 """Capsule layers: squash invariants, grid layout, and vote transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -18,6 +20,7 @@ from capsroute.capsules import (
 )
 from capsroute.errors import ConfigurationError, DimensionError
 from capsroute.gradcheck import fd_gradient, relative_error
+from capsroute.models import ModelConfig
 from capsroute.tensor import Tensor
 
 
@@ -290,6 +293,15 @@ def test_routing_spec_validation():
 def test_routing_spec_rejects_fewer_than_one_iteration(method):
     with pytest.raises(ConfigurationError, match="routing_iterations must be >= 1, got 0"):
         RoutingSpec(method, 0)
+
+
+def test_routing_spec_is_frozen_and_hashable_like_the_other_config_dataclasses():
+    # A Routing layer reads its spec on every call; changing it after the layer
+    # is built would leave the layer's parameters out of step with its method.
+    spec = RoutingSpec("attention")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.method = "dynamic"
+    assert hash(ModelConfig()) == hash(ModelConfig(routing=RoutingSpec()))
 
 
 def test_routing_spec_rejects_a_fractional_iteration_count():

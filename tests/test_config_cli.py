@@ -20,18 +20,7 @@ from capsroute import (
     experiment,
 )
 from capsroute.cli import main
-from capsroute.config import (
-    SCHEMA,
-    config_snapshot,
-    default_config_text,
-    margin_params_from,
-    model_config_from,
-    parse_config_file,
-    resolve,
-    synth_config_from,
-    train_config_from,
-    weighted_params_from,
-)
+from capsroute.config import SCHEMA, build, config_snapshot, default_config_text, parse_config_file, resolve
 
 TINY_SETTINGS = [
     "n_samples=32",
@@ -220,16 +209,16 @@ def test_builders_map_config_keys():
             "m_minus": "0.2",
         }
     )
-    synth = synth_config_from(cfg)
+    synth = build(SynthConfig, cfg)
     assert synth.seed == 21 and synth.n_samples == 2000
-    model_cfg = model_config_from(cfg)
+    model_cfg = build(ModelConfig, cfg)
     assert model_cfg.routing.method == "dynamic"
     assert model_cfg.routing.iterations == 2
-    tc = train_config_from(cfg)
+    tc = build(TrainConfig, cfg)
     assert tc.seed == 9
-    margin = margin_params_from(cfg)
+    margin = build(MarginLossParams, cfg)
     assert (margin.m_plus, margin.m_minus) == (0.8, 0.2)
-    weighted = weighted_params_from(cfg)
+    weighted = build(WeightedLossParams, cfg)
     assert weighted.weight_mode == "literal"
     assert weighted.class_proportions == (0.5, 0.5)
     assert weighted.lambda_reg == 0.1
@@ -414,6 +403,36 @@ def test_cli_eval_rejects_a_damaged_checkpoint(tmp_path, capsys, trained_run, da
     assert captured.err.startswith("error:") and "model.npz" in captured.err
 
 
+def _out_of_range_values():
+    """(key, raw) pairs that parse but lie out of range: -1 and 0 for every int key,
+    -1.0 and 0.0 for every float key, in each entry of a tuple key."""
+    for key, (default, _, _) in SCHEMA.items():
+        entries = default if isinstance(default, tuple) else (default,)
+        kind = type(entries[0])
+        if kind in (bool, str):
+            continue
+        for value in (-1, 0):
+            yield key, ",".join([str(kind(value))] * len(entries))
+
+
+@pytest.mark.parametrize("key,raw", list(_out_of_range_values()))
+def test_cli_eval_of_a_run_whose_config_is_out_of_range_names_the_key_or_ignores_it(
+    tmp_path, capsys, trained_run, key, raw
+):
+    # eval reads the whole config.txt but builds only the model from it, so a
+    # value it never uses may pass; one it uses must fail as `error:` naming the key.
+    ecap, trained = trained_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained, run_dir)
+    config = run_dir / "config.txt"
+    config.write_text(re.sub(rf"^{key}=.*$", f"{key}={raw}", config.read_text(), flags=re.MULTILINE))
+    capsys.readouterr()
+    code = main(["eval", "--run-dir", str(run_dir), "--data", str(ecap)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert code == 0 or (err.startswith("error:") and re.search(rf"\b{key}\b", err)), err
+
+
 @pytest.mark.parametrize("command", ["train-config", "eval-run-config"])
 def test_cli_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys, monkeypatch, command):
     for owner in (data, experiment):
@@ -575,7 +594,7 @@ def test_cli_train_and_eval_on_a_data_file_ignore_the_generator_settings(tmp_pat
     default_widths = [s for s in TINY_SETTINGS if not s.startswith(("width_", "translation_range"))]
     run_args = [item for s in default_widths for item in ("--set", s)]
     with pytest.raises(ConfigurationError, match="cannot fit"):
-        synth_config_from(resolve(overrides=dict(s.split("=", 1) for s in default_widths)))
+        build(SynthConfig, resolve(overrides=dict(s.split("=", 1) for s in default_widths)))
     run_dir = tmp_path / "run"
     assert main(["train", *run_args, "--data", str(ecap), "--run-dir", str(run_dir)]) == 0
     assert main(["eval", "--run-dir", str(run_dir), "--data", str(ecap)]) == 0

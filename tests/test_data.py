@@ -25,7 +25,7 @@ from capsroute.data import (
     save,
     split,
 )
-from capsroute.errors import ConfigurationError, DataFormatError, StratificationError
+from capsroute.errors import ConfigurationError, ContractError, DataFormatError, StratificationError
 
 QUIET = dict(noise_sigma=0.0, translation_range=0.0,
              rotation_range_train=(0.0, 0.0), width_normal=(7.0, 7.0),
@@ -151,6 +151,18 @@ def test_generate_rejects_an_index_offset_outside_the_sample_streams(index_offse
     # Stream 2**63 is the label shuffle's; sample indices must stay below it.
     with pytest.raises(ConfigurationError, match="index_offset"):
         generate(small_cfg(n_samples=4, positive_ratio=0.5), index_offset=index_offset)
+
+
+@pytest.mark.parametrize("index_offset", [1.5, True, np.float64(2.0)], ids=["float", "bool", "np-float"])
+def test_generate_rejects_an_index_offset_that_is_not_an_integer(index_offset):
+    # _seek casts the key to uint64, so 1.5 and True would render the samples of offset 1.
+    with pytest.raises(ConfigurationError, match="index_offset must be an integer"):
+        generate(small_cfg(n_samples=4, positive_ratio=0.5), index_offset=index_offset)
+
+
+def test_generate_takes_a_numpy_integer_index_offset():
+    cfg = small_cfg(n_samples=4, positive_ratio=0.5)
+    assert_same_bytes(generate(cfg, index_offset=np.int64(2)), generate(cfg, index_offset=2))
 
 
 def test_generate_accepts_the_last_sample_streams():
@@ -477,6 +489,19 @@ def test_class_proportions():
     assert class_proportions(np.array([0, 0, 0, 1])) == (0.75, 0.25)
     with pytest.raises(ConfigurationError):
         class_proportions(np.array([]))
+
+
+@pytest.mark.parametrize("labels,bad", [([0.7, 1.0, 0], "0.7 at index 0"), ([0, 2, 1], "2 at index 1"),
+                                        ([1, 0, float("nan")], "nan at index 2"), ([0, -1], "-1 at index 1")],
+                         ids=["fraction", "two", "nan", "negative"])
+def test_class_proportions_rejects_a_label_other_than_0_or_1(labels, bad):
+    with pytest.raises(ContractError, match=f"labels must be 0 or 1, got {bad}"):
+        class_proportions(np.array(labels))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int32, np.int64, np.uint64, np.float32, np.float64, bool])
+def test_class_proportions_accepts_every_integer_dtype_and_integral_floats(dtype):
+    assert class_proportions(np.array([0, 1, 1, 1], dtype=dtype)) == (0.25, 0.75)
 
 
 def test_subset_and_len():

@@ -72,6 +72,13 @@ def tiny_splits():
 # --------------------------------------------------------------- model assembly
 
 
+@pytest.mark.parametrize("seed,message", [(-1, "seed must be >= 0, got -1"),
+                                          (1.5, "seed must be an integer, got 1.5")])
+def test_build_model_rejects_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    with pytest.raises(ConfigurationError, match=message):
+        tiny_model(seed=seed)
+
+
 def test_capsule_model_output_shapes():
     model = tiny_model()
     images = Tensor(np.zeros((3, 1, 20, 20)))
@@ -360,7 +367,8 @@ def test_identical_runs_produce_identical_records_and_parameters():
 
     def run():
         model = tiny_model(seed=11)
-        record = train(model, train_set, val_set, tc, config_snapshot=snapshot)
+        record = train(model, train_set, val_set, tc)
+        record.config = snapshot
         record.metrics["val"] = evaluate(model, val_set)
         return model, record
 
