@@ -61,15 +61,18 @@ def squash(s: Tensor) -> Tensor:
 
     Direction is preserved and the output norm is strictly below 1; the zero
     vector maps to itself. Computed as s * n / (1 + n^2) with the guarded
-    ``vector_norm``. A vector with n past ``_SQUASH_RESCALE`` is first scaled
-    by an exact power of two to n ~ 2^32: its squash, the unit direction, is
+    ``vector_norm``. A vector with n past ``_SQUASH_RESCALE``, or past float
+    max, where n is ``inf``, is first scaled by an exact power of two that
+    brings its largest component to ~2^32: its squash, the unit direction, is
     the same in floating point, and n^2 no longer overflows in the gain or
     its gradient.
     """
-    n = vector_norm(s)
-    big = n.data > _SQUASH_RESCALE
-    if big.any():
-        s = s * np.ldexp(1.0, np.where(big, 32 - np.frexp(n.data)[1], 0))[..., None]
+    with np.errstate(over="ignore"):  # a norm past float max reads inf until rescaled
+        n = vector_norm(s)
+    small = n.data <= _SQUASH_RESCALE  # False for an inf norm
+    if not small.all():
+        top = np.abs(s.data).max(axis=-1)
+        s = s * np.ldexp(1.0, np.where(small, 0, 32 - np.frexp(top)[1]))[..., None]
         n = vector_norm(s)
     gain = n / (1.0 + square(n))
     return s * gain.reshape(gain.shape + (1,))

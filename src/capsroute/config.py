@@ -1,13 +1,13 @@
 """Plain-text key=value configuration, derived from the dataclasses it feeds.
 
 A config file contains one ``key=value`` pair per line; blank lines and
-``#`` comments are ignored. ``_KEYS`` maps each key to the dataclass field it
-feeds, whose default and type give the key's default and parser (a tuple
-value must keep the default's length); only the three split keys, which no
-dataclass owns, state their defaults here. The generator seed is exposed as
-``data_seed`` so it cannot collide with the training seed. Unknown keys and
-malformed or non-finite values raise ``ConfigurationError``. Command-line
-``--set key=value`` pairs override file values, which override the defaults.
+``#`` comments are ignored. Each field of the config dataclasses is a key
+whose default and parser come from the field's default and type (a tuple
+value must keep the default's length); the few exceptions are stated below.
+The README's configuration tables are the one description of each key.
+Unknown keys and malformed or non-finite values raise ``ConfigurationError``.
+Command-line ``--set key=value`` pairs override file values, which override
+the defaults.
 """
 
 from __future__ import annotations
@@ -25,57 +25,42 @@ from .metrics import format_value
 from .models import ModelConfig
 from .training import TrainConfig
 
-__all__ = [
-    "SCHEMA",
-    "parse_config_file",
-    "resolve",
-    "build",
-    "default_config_text",
-]
+__all__ = ["SCHEMA", "parse_config_file", "resolve", "build"]
 
-# key -> (owning dataclass, field name, help text). The split keys belong to no
-# dataclass: their owner is None and the middle entry is the default itself.
-_KEYS: dict[str, tuple[type | None, Any, str]] = {
-    # data generation
-    "n_samples": (SynthConfig, "n_samples", "number of synthetic samples to render"),
-    "image_size": (SynthConfig, "image_size", "channels,height,width"),
-    "positive_ratio": (SynthConfig, "positive_ratio", "fraction of label-1 samples (exact count)"),
-    "rotation_range_train": (SynthConfig, "rotation_range_train", "degrees, lo,hi"),
-    "rotation_range_test": (SynthConfig, "rotation_range_test", "degrees, lo,hi"),
-    "translation_range": (SynthConfig, "translation_range", "max |chamber jitter| in pixels"),
-    "width_normal": (SynthConfig, "width_normal", "label-0 chamber width interval, px"),
-    "width_dilated": (SynthConfig, "width_dilated", "label-1 chamber width interval, px"),
-    "noise_sigma": (SynthConfig, "noise_sigma", "additive Gaussian noise level inside the cone"),
-    "data_seed": (SynthConfig, "seed", "generator seed (distinct from the training seed)"),
-    "allow_width_overlap": (SynthConfig, "allow_width_overlap", "permit overlapping width intervals"),
-    "rotation_shift_test": (None, False, "render the test split from rotation_range_test"),
-    "split_fractions": (None, (0.8, 0.1, 0.1), "train,val,test fractions"),
-    "split_seed": (None, 10, "seed for the stratified split shuffle"),
-    # model
-    "architecture": (ModelConfig, "architecture", "cardiocaps | cnn1 | cnn2"),
-    "hidden_dim": (ModelConfig, "hidden_dim", "stem width / primary conv channels"),
-    "conv_kernel": (ModelConfig, "conv_kernel", "stem and primary conv kernel size"),
-    "d_primary": (ModelConfig, "d_primary", "primary capsule dimensionality"),
-    "d_digit": (ModelConfig, "d_digit", "digit capsule dimensionality"),
-    "affine_kind": (ModelConfig, "affine_kind", "vote transform: shared | conv | constant"),
-    "routing_method": (RoutingSpec, "method", "dynamic | attention"),
-    "routing_iterations": (RoutingSpec, "iterations", "rounds of dynamic routing"),
-    "attention_softmax_axis": (RoutingSpec, "softmax_axis", "input_caps | output_caps"),
-    "attention_scale_by_sqrt_d": (RoutingSpec, "scale_by_sqrt_d", "scale attention logits by 1/sqrt(d_digit)"),
-    "decoder_hidden": (ModelConfig, "decoder_hidden", "decoder layer widths"),
-    # loss
-    "weight_mode": (WeightedLossParams, "weight_mode", "literal | inverse | uniform class weighting"),
-    "lambda_reg": (WeightedLossParams, "lambda_reg", "regression (auxiliary) loss multiplier"),
-    "lambda_recon": (WeightedLossParams, "lambda_recon", "reconstruction loss multiplier"),
-    "m_plus": (MarginLossParams, "m_plus", "presence margin"),
-    "m_minus": (MarginLossParams, "m_minus", "absence margin"),
-    "negative_weight": (MarginLossParams, "negative_weight", "down-weight of absent-class margin terms"),
-    # training
-    "lr": (TrainConfig, "lr", "Adam learning rate"),
-    "batch_size": (TrainConfig, "batch_size", "minibatch size"),
-    "max_epochs": (TrainConfig, "max_epochs", "upper bound on training epochs"),
-    "patience": (TrainConfig, "patience", "epochs without val improvement before stopping"),
-    "seed": (TrainConfig, "seed", "experiment seed: init, shuffling, and records"),
+# Keys not named after their field: the generator seed must not collide with the
+# training seed, and each routing key names the routing it sets.
+_RENAMED = {
+    (SynthConfig, "seed"): "data_seed",
+    (RoutingSpec, "method"): "routing_method",
+    (RoutingSpec, "iterations"): "routing_iterations",
+    (RoutingSpec, "softmax_axis"): "attention_softmax_axis",
+    (RoutingSpec, "scale_by_sqrt_d"): "attention_scale_by_sqrt_d",
+}
+_NOT_KEYS = {(WeightedLossParams, "class_proportions")}  # set from the train split
+
+
+def _keys(cls: type) -> dict[str, tuple[type, str, Any]]:
+    """key -> (owning dataclass, field name, default) for each key field of ``cls``, in
+    order; a field holding a config dataclass (``ModelConfig.routing``) adds its keys."""
+    keys = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            keys.update(_keys(f.default_factory))
+        elif (cls, f.name) not in _NOT_KEYS:
+            keys[_RENAMED.get((cls, f.name), f.name)] = (cls, f.name, f.default)
+    return keys
+
+
+# Every key in the README's order; the split keys belong to no dataclass.
+_FIELDS = {
+    **_keys(SynthConfig),
+    "rotation_shift_test": (None, None, False),
+    "split_fractions": (None, None, (0.8, 0.1, 0.1)),
+    "split_seed": (None, None, 10),
+    **_keys(ModelConfig),
+    **_keys(WeightedLossParams),
+    **_keys(MarginLossParams),
+    **_keys(TrainConfig),
 }
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
@@ -107,14 +92,9 @@ def _parser(key: str, default: Any) -> Callable[[str], Any]:
     return parse
 
 
-def _entry(key: str, owner: type | None, name: Any, help_text: str):
-    default = name if owner is None else {f.name: f.default for f in fields(owner)}[name]
-    return default, _parser(key, default), help_text
-
-
-# key -> (default value, parser, help text)
-SCHEMA: dict[str, tuple[Any, Callable[[str], Any], str]] = {
-    key: _entry(key, *spec) for key, spec in _KEYS.items()
+# key -> (default value, parser)
+SCHEMA: dict[str, tuple[Any, Callable[[str], Any]]] = {
+    key: (default, _parser(key, default)) for key, (_, _, default) in _FIELDS.items()
 }
 
 
@@ -138,12 +118,12 @@ def parse_config_file(path) -> dict[str, str]:
 
 def resolve(file_values: dict[str, str] | None = None, overrides: dict[str, str] | None = None) -> dict[str, Any]:
     """Merge defaults, file values, and overrides into a fully typed config."""
-    merged: dict[str, Any] = {k: default for k, (default, _, _) in SCHEMA.items()}
+    merged: dict[str, Any] = {k: default for k, (default, _) in SCHEMA.items()}
     for source in (file_values or {}, overrides or {}):
         for key, raw in source.items():
             if key not in SCHEMA:
                 raise ConfigurationError(f"unknown configuration key: {key!r}")
-            _, parser, _ = SCHEMA[key]
+            _, parser = SCHEMA[key]
             merged[key] = parser(raw) if isinstance(raw, str) else raw
     return merged
 
@@ -160,15 +140,7 @@ def build(cls: type, cfg: dict[str, Any]):
     is, is built from ``cfg`` the same way. Each dataclass checks its own values,
     so a value out of range raises ``ConfigurationError`` naming its key.
     """
-    owned = {name: cfg[key] for key, (owner, name, _) in _KEYS.items() if owner is cls}
+    owned = {name: cfg[key] for key, (owner, name, _) in _FIELDS.items() if owner is cls}
     nested = {f.name: build(f.default_factory, cfg) for f in fields(cls) if is_dataclass(f.default_factory)}
     return cls(**owned, **nested)
 
-
-def default_config_text() -> str:
-    """A fully commented config file holding every key at its default."""
-    lines = ["# capsroute configuration: key=value, '#' starts a comment"]
-    snapshot = config_snapshot({k: default for k, (default, _, _) in SCHEMA.items()})
-    for key, (_, _, help_text) in SCHEMA.items():
-        lines.append(f"{key}={snapshot[key]}  # {help_text}")
-    return "\n".join(lines) + "\n"

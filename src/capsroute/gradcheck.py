@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor
 
-__all__ = ["relative_error", "fd_gradient", "check_gradient", "spot_check", "GradCheckResult"]
+__all__ = ["relative_error", "fd_gradient", "check_gradient", "spot_check", "standard_suite",
+           "GradCheckResult"]
 
 DEFAULT_STEP_SCALE = 1e-6
 

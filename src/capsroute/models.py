@@ -12,6 +12,7 @@ spatial arithmetic, reporting the computed shape chain when it breaks.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -46,6 +47,15 @@ __all__ = ["ModelConfig", "CapsuleClassifier", "CnnClassifier", "build_model",
 
 ARCHITECTURES = ("cardiocaps", "cnn1", "cnn2")
 _PRIMARY_STRIDE = 2  # of the primary-capsule conv; sets the capsule grid the votes are built for
+_MAX_WEIGHT = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize  # values numpy can index
+
+
+def _check_weight_sizes(*weights: tuple[str, tuple[int, ...]]) -> None:
+    """Reject, before any weight is allocated, a (keys, shape) weight numpy cannot hold."""
+    for keys, shape in weights:
+        if math.prod(int(n) for n in shape) > _MAX_WEIGHT:
+            raise ConfigurationError(f"a weight of shape {shape}, set by {keys}, is past the "
+                                     f"{_MAX_WEIGHT} float64 values one array can hold")
 
 
 @dataclass(frozen=True)
@@ -114,11 +124,16 @@ class CapsuleClassifier:
                 f"hidden_dim={cfg.hidden_dim} channels do not split into capsules of "
                 f"d_primary={cfg.d_primary}"
             )
-        self.conv_weight, self.conv_bias = conv_params(cfg.hidden_dim, c_img, k, rng)
-        self.primary = PrimaryCapsules(
-            cfg.hidden_dim, cfg.hidden_dim, d=cfg.d_primary, kernel=k, stride=_PRIMARY_STRIDE, rng=rng
-        )
-        cpc = self.primary.caps_per_cell
+        hd, cpc, d_caps = cfg.hidden_dim, cfg.hidden_dim // cfg.d_primary, cfg.n_classes * cfg.d_digit
+        votes = {"shared": (hg * wg * cpc, cfg.d_primary, d_caps),
+                 "conv": (cpc * d_caps, cpc * cfg.d_primary, 3, 3)}.get(cfg.affine_kind, ())
+        _check_weight_sizes(("hidden_dim", (hd, c_img, k, k)), ("hidden_dim", (hd, hd, k, k)),
+                            ("hidden_dim, d_digit", votes),
+                            ("d_digit, decoder_hidden", (d_caps, cfg.decoder_hidden[0])),
+                            ("decoder_hidden", cfg.decoder_hidden),
+                            ("decoder_hidden", (cfg.decoder_hidden[1], c_img * h * w)))
+        self.conv_weight, self.conv_bias = conv_params(hd, c_img, k, rng)
+        self.primary = PrimaryCapsules(hd, hd, d=cfg.d_primary, kernel=k, stride=_PRIMARY_STRIDE, rng=rng)
         if cfg.affine_kind == "shared":
             self.affine = SharedAffine(hg * wg * cpc, cfg.d_primary, cfg.n_classes, cfg.d_digit, rng)
         elif cfg.affine_kind == "conv":
@@ -192,6 +207,8 @@ class CnnClassifier:
         h2, w2 = h2 // 2, w2 // 2
         trace.append(f"pool2 -> {h2}x{w2}")
 
+        _check_weight_sizes(("hidden_dim", (hd, c_img, k1, k1)), ("hidden_dim", (hd, hd, k2, k2)),
+                            ("hidden_dim", (hd * h2 * w2, cfg.n_classes)))
         self.w1, self.b1 = conv_params(hd, c_img, k1, rng)
         self.w2, self.b2 = conv_params(hd, hd, k2, rng)
         self.fc = _Linear(hd * h2 * w2, cfg.n_classes, rng, gain="linear")

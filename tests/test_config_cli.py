@@ -20,7 +20,7 @@ from capsroute import (
     experiment,
 )
 from capsroute.cli import main
-from capsroute.config import SCHEMA, build, config_snapshot, default_config_text, parse_config_file, resolve
+from capsroute.config import SCHEMA, build, config_snapshot, parse_config_file, resolve
 
 TINY_SETTINGS = [
     "n_samples=32",
@@ -154,7 +154,7 @@ def _malformed_values():
     """(key, raw) pairs that no non-str key may accept: a bad element for every
     key, one value too few and too many for every tuple key, and a NaN and an
     infinite element for every float key."""
-    for key, (default, _, _) in SCHEMA.items():
+    for key, (default, _) in SCHEMA.items():
         if isinstance(default, str):
             continue
         is_float = isinstance(default[0] if isinstance(default, tuple) else default, float)
@@ -182,18 +182,15 @@ def test_cli_rejects_malformed_values_naming_the_key(tmp_path, capsys, key, raw)
     assert not out.exists()
 
 
-def test_default_config_text_round_trips(tmp_path):
-    path = tmp_path / "defaults.cfg"
-    path.write_text(default_config_text())
-    assert resolve(parse_config_file(path)) == resolve()
-
-
-def test_config_snapshot_round_trips():
+def test_config_snapshot_round_trips(tmp_path):
     cfg = resolve({"lr": "0.003", "rotation_shift_test": "true"})
     snapshot = config_snapshot(cfg)
     assert snapshot["rotation_shift_test"] == "true"
     assert snapshot["image_size"] == "1,32,32"
     assert resolve(snapshot) == cfg
+    path = tmp_path / "defaults.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in config_snapshot(resolve()).items()))
+    assert resolve(parse_config_file(path)) == resolve()
 
 
 def test_builders_map_config_keys():
@@ -405,14 +402,18 @@ def test_cli_eval_rejects_a_damaged_checkpoint(tmp_path, capsys, trained_run, da
 
 def _out_of_range_values():
     """(key, raw) pairs that parse but lie out of range: -1 and 0 for every int key,
-    -1.0 and 0.0 for every float key, in each entry of a tuple key."""
-    for key, (default, _, _) in SCHEMA.items():
+    -1.0 and 0.0 for every float key, in each entry of a tuple key, and widths whose
+    weights numpy cannot index. A large width that it can index would allocate."""
+    for key, (default, _) in SCHEMA.items():
         entries = default if isinstance(default, tuple) else (default,)
         kind = type(entries[0])
         if kind in (bool, str):
             continue
         for value in (-1, 0):
             yield key, ",".join([str(kind(value))] * len(entries))
+    absurd = 2**70
+    yield from [("hidden_dim", f"{absurd}"), ("d_digit", f"{absurd}"),
+                ("decoder_hidden", f"{absurd},8"), ("decoder_hidden", f"8,{absurd}")]
 
 
 @pytest.mark.parametrize("key,raw", list(_out_of_range_values()))
@@ -637,7 +638,8 @@ def test_cli_eval_rejects_a_run_directory_naming_a_removed_key(tmp_path, capsys,
     # Runs saved before labels were fixed to binary name these keys in config.txt.
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    (run_dir / "config.txt").write_text(default_config_text() + removed + "\n", encoding="utf-8")
+    defaults = "".join(f"{k}={v}\n" for k, v in config_snapshot(resolve()).items())
+    (run_dir / "config.txt").write_text(defaults + removed + "\n", encoding="utf-8")
     assert main(["eval", "--run-dir", str(run_dir), "--data", str(tmp_path / "never-read.ecap")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown configuration key" in err

@@ -251,6 +251,16 @@ def tiny_model_with_image(image_size, **overrides):
     )
 
 
+@pytest.mark.parametrize("architecture,affine_kind,key", [
+    ("cnn1", "shared", "hidden_dim"), ("cnn2", "shared", "hidden_dim"),
+    ("cardiocaps", "conv", "hidden_dim"), ("cardiocaps", "constant", "d_digit"),
+])
+def test_build_model_rejects_a_weight_numpy_cannot_index_naming_the_key(architecture, affine_kind, key):
+    # Past numpy's limit nothing is allocated; a large width it can index would be.
+    with pytest.raises(ConfigurationError, match=rf"set by .*\b{key}\b"):
+        tiny_model(architecture=architecture, affine_kind=affine_kind, **{key: 2**70})
+
+
 def test_model_rejects_images_too_small_for_grid():
     with pytest.raises(ConfigurationError) as err:
         tiny_model_with_image((1, 12, 12))
