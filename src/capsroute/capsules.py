@@ -80,12 +80,12 @@ def squash(s: Tensor) -> Tensor:
 
 def _normal(rng: np.random.Generator, shape: tuple[int, ...], fan: int) -> Tensor:
     """Trainable N(0, 2 / fan) weights: He-normal for fan-in, Glorot for fan-in + fan-out."""
-    return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan), size=shape), requires_grad=True)
+    return Tensor._adopt(rng.normal(0.0, np.sqrt(2.0 / fan), size=shape))
 
 
 def conv_params(c_out: int, c_in: int, k: int, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     """He-normal kernels [c_out, c_in, k, k] and a zero bias, drawn from ``rng``."""
-    return _normal(rng, (c_out, c_in, k, k), c_in * k * k), Tensor(np.zeros(c_out), requires_grad=True)
+    return _normal(rng, (c_out, c_in, k, k), c_in * k * k), Tensor._adopt(np.zeros(c_out))
 
 
 @dataclass
@@ -148,9 +148,7 @@ class SharedAffine:
     ):
         self.n_out, self.d_out = n_out, d_out
         std = 1.0 / np.sqrt(d_in)
-        self.weight = Tensor(
-            rng.normal(0.0, std, size=(n_in, d_in, n_out * d_out)), requires_grad=True
-        )
+        self.weight = Tensor._adopt(rng.normal(0.0, std, size=(n_in, d_in, n_out * d_out)))
 
     def __call__(self, bank: CapsuleBank) -> Tensor:
         u = bank.activations
@@ -353,7 +351,7 @@ class Routing:
     def __init__(self, spec: RoutingSpec, d_out: int):
         self.spec = spec
         if spec.method == "attention":
-            self.weight = Tensor(np.zeros((d_out, 1)), requires_grad=True)
+            self.weight = Tensor._adopt(np.zeros((d_out, 1)))
 
     def __call__(self, votes: Tensor) -> tuple[CapsuleBank, RoutingState]:
         spec = self.spec
@@ -373,7 +371,7 @@ make_routing = Routing  # the name capsbench/tracing.py imports
 class _Linear:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, gain: str = "relu"):
         self.weight = _normal(rng, (n_in, n_out), n_in if gain == "relu" else n_in + n_out)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True)
+        self.bias = Tensor._adopt(np.zeros(n_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.weight) + self.bias

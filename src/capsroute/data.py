@@ -14,6 +14,8 @@ regenerated bit-identically no matter the batch or process layout.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -246,11 +248,28 @@ def generate(
 _MAGIC = b"ECAP"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIHHH")  # magic, version, count, channels, height, width
+# Records move between a file and the dataset's arrays through one buffer of
+# about this size, so neither save nor load holds a second copy of the file.
+_CHUNK_BYTES = 256 << 10
 
 
 def _record(c: int, h: int, w: int) -> np.dtype:
     """One ECAP sample, unpadded: float32 pixels row-major, a u8 label, a float32 target."""
     return np.dtype([("image", "<f4", (c, h, w)), ("label", "u1"), ("target", "<f4")])
+
+
+def _per_chunk(record: np.dtype) -> int:
+    """Records in one chunk: as many as fit ``_CHUNK_BYTES``, and at least one."""
+    return max(1, _CHUNK_BYTES // record.itemsize)
+
+
+def _chunks(record: np.dtype, n: int):
+    """Yield (start, part) for n records a chunk at a time: ``part`` is the
+    leading slice of one reused buffer, one entry per record from ``start``."""
+    step = _per_chunk(record)
+    buf = np.empty(min(n, step), dtype=record)
+    for start in range(0, n, step):
+        yield start, buf[: min(step, n - start)]
 
 
 def save(dataset: EchoDataset, path) -> None:
@@ -259,16 +278,48 @@ def save(dataset: EchoDataset, path) -> None:
     Layout: magic ``ECAP``, u32 version (=1), u32 sample count, u16 channels,
     u16 height, u16 width, then one ``_record`` per sample: the float32
     pixels row-major, a u8 label, and the float32 regression target.
+
+    Only a file ``load`` accepts is written. Before the file is opened, a
+    ``ContractError`` names the field when the images are not [N, C, H, W],
+    the labels or targets are not one per image, a count or extent does not
+    fit its header field, a label is not 0 or 1, or a pixel or target is not
+    finite as float32. Records are converted a chunk at a time, once to be
+    checked and once to be written.
     """
-    n = len(dataset)
-    _, c, h, w = dataset.images.shape
-    records = np.empty(n, dtype=_record(c, h, w))
-    records["image"] = dataset.images
-    records["label"] = dataset.labels
-    records["target"] = dataset.reg_targets
+    images, labels, targets = (np.asarray(a) for a in (dataset.images, dataset.labels, dataset.reg_targets))
+    if images.ndim != 4:
+        raise ContractError(f"images must be [N, C, H, W], got shape {images.shape}")
+    n, c, h, w = images.shape
+    for name, values in (("labels", labels), ("reg_targets", targets)):
+        if values.shape != (n,):
+            raise ContractError(f"{name} must hold one value for each of {n} images, "
+                                f"got shape {values.shape}")
+    for name, value, bits in (("count", n, 32), ("channels", c, 16), ("height", h, 16), ("width", w, 16)):
+        if value >= 1 << bits:
+            raise ContractError(f"images {name} {value} does not fit the header's u{bits} field")
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        raise ContractError(f"labels must be 0 or 1, got {labels[bad[0]]} at sample {bad[0]}")
+    chunks = list(_chunks(_record(c, h, w), n))  # every part is a slice of the same buffer
+
+    def fill(start, part):
+        stop = start + len(part)
+        part["image"], part["label"] = images[start:stop], labels[start:stop]
+        part["target"] = targets[start:stop]
+        return part
+
+    with np.errstate(over="ignore"):  # a value past float32's range turns inf, and is named below
+        for start, part in chunks:
+            fill(start, part)
+            for name, values in (("images", part["image"]), ("reg_targets", part["target"])):
+                finite = np.isfinite(values).reshape(len(part), -1).all(axis=1)
+                if not finite.all():
+                    raise ContractError(f"{name} hold a value that is not finite as float32 "
+                                        f"at sample {start + int(np.argmin(finite))}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, n, c, h, w))
-        fh.write(records.data)
+        for start, part in chunks:
+            fh.write(fill(start, part).data)
 
 
 def load(path) -> EchoDataset:
@@ -276,44 +327,67 @@ def load(path) -> EchoDataset:
 
     Damage includes a label byte other than 0 or 1, reported at the first such
     byte, and then a NaN or infinite pixel or target, reported at the offset
-    of the first sample that holds one.
+    of the first sample that holds one. Records are read a chunk at a time
+    into the returned arrays, and each check runs a chunk at a time.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise DataFormatError(
-            f"truncated header: {len(blob)} bytes, need {_HEADER.size}", offset=len(blob)
-        )
-    magic, version, count, c, h, w = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
-    if version != _VERSION:
-        raise DataFormatError(f"unsupported version {version}", offset=4)
-    record = _record(c, h, w)
-    expected = _HEADER.size + count * record.itemsize
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"file is {len(blob)} bytes but {count} samples need {expected}",
-            offset=min(len(blob), expected),
-        )
-    records = np.frombuffer(blob, dtype=record, count=count, offset=_HEADER.size)
-    bad = np.flatnonzero(records["label"] > 1)
-    if bad.size:
-        first = int(bad[0])
-        raise DataFormatError(
-            f"label byte must be 0 or 1, got {records['label'][first]}",
-            offset=_HEADER.size + first * record.itemsize + record.fields["label"][1],
-        )
-    images = records["image"].astype(np.float32, order="C")
-    regs = records["target"].astype(np.float32)
-    finite = np.isfinite(images).all(axis=(1, 2, 3)) & np.isfinite(regs)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise DataFormatError(
-            f"sample {first} holds a non-finite pixel or target",
-            offset=_HEADER.size + first * record.itemsize,
-        )
-    return EchoDataset(images, records["label"].astype(np.uint8), regs)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise DataFormatError(
+                f"truncated header: {len(head)} bytes, need {_HEADER.size}", offset=len(head)
+            )
+        magic, version, count, c, h, w = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise DataFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", offset=0)
+        if version != _VERSION:
+            raise DataFormatError(f"unsupported version {version}", offset=4)
+        record = _record(c, h, w)
+        expected = _HEADER.size + count * record.itemsize
+        if size != expected:
+            raise DataFormatError(
+                f"file is {size} bytes but {count} samples need {expected}",
+                offset=min(size, expected),
+            )
+        images = np.empty((count, c, h, w), dtype=np.float32)
+        labels = np.empty(count, dtype=np.uint8)
+        regs = np.empty(count, dtype=np.float32)
+        for start, part in _chunks(record, count):
+            at = _HEADER.size + start * record.itemsize
+            got = fh.readinto(part.view(np.uint8))
+            if got != part.nbytes:
+                raise DataFormatError(f"file ended at {at + got} bytes while {count} samples need {expected}",
+                                      offset=at + got)
+            bad = np.flatnonzero(part["label"] > 1)
+            if bad.size:
+                first = int(bad[0])
+                raise DataFormatError(
+                    f"label byte must be 0 or 1, got {part['label'][first]}",
+                    offset=at + first * record.itemsize + record.fields["label"][1],
+                )
+            stop = start + len(part)
+            images[start:stop], labels[start:stop] = part["image"], part["label"]
+            regs[start:stop] = part["target"]
+    step = _per_chunk(record)
+    for start in range(0, count, step):
+        stop = start + step
+        finite = np.isfinite(images[start:stop]).all(axis=(1, 2, 3)) & np.isfinite(regs[start:stop])
+        if not finite.all():
+            first = start + int(np.argmin(finite))
+            raise DataFormatError(
+                f"sample {first} holds a non-finite pixel or target",
+                offset=_HEADER.size + first * record.itemsize,
+            )
+    return EchoDataset(images, labels, regs)
+
+
+def _sha256(path) -> str:
+    """The SHA-256 hex digest of a file, read through one buffer of ``_CHUNK_BYTES``."""
+    digest, buf = hashlib.sha256(), bytearray(_CHUNK_BYTES)
+    with open(path, "rb", buffering=0) as fh:
+        while got := fh.readinto(buf):
+            digest.update(memoryview(buf)[:got])
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------- splits

@@ -8,13 +8,12 @@ repeats a run across a grid of auxiliary-loss multipliers on fixed data.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
 from . import config as cfg_mod
-from .data import EchoDataset, SynthConfig, check_split, class_proportions, generate, load, split
+from .data import EchoDataset, SynthConfig, _sha256, check_split, class_proportions, generate, load, split
 from .errors import ConfigurationError
 from .losses import MarginLossParams, WeightedLossParams
 from .metrics import format_value
@@ -112,7 +111,7 @@ def run_experiment(
     record = train(model, train_set, val_set, train_config)
     record.config = cfg_mod.config_snapshot(cfg)
     if data_path is not None:
-        record.data_sha256 = hashlib.sha256(Path(data_path).read_bytes()).hexdigest()
+        record.data_sha256 = _sha256(data_path)
     record.metrics["train"] = evaluate(model, train_set)
     record.metrics["val"] = evaluate(model, val_set)
     if len(test_set):

@@ -264,7 +264,17 @@ def parameter_count(model) -> int:
 
 
 def save_params(model, path) -> None:
-    np.savez(path, **{name: p.data for name, p in model.parameters()})
+    """Write the parameters to ``path`` as ``np.savez`` would, member for member.
+
+    Each member is the parameter's ``.npy`` header followed by the
+    parameter's own buffer, so no copy of any array is staged. Unlike
+    ``np.savez``, the path is used as given, with no ``.npz`` appended.
+    """
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, p in model.parameters():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(p.data))
+                member.write(p.data)
 
 
 def load_params(model, path) -> None:
@@ -272,7 +282,9 @@ def load_params(model, path) -> None:
 
     Each archive member is read to its end, which is where zip checks its
     CRC-32: a damaged ``.npy`` header that shortens the array would otherwise
-    load the wrong bytes unchecked.
+    load the wrong bytes unchecked. Every member is staged in full before the
+    first is copied in; that staging is what keeps the model untouched when
+    a later member is damaged.
     """
     stored = {}
     with open(path, "rb") as fh:  # a missing file raises its own OSError, as any open does

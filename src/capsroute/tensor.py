@@ -9,9 +9,11 @@ results) rather than accumulating. A leaf's gradient reads as zeros until a
 backward writes it: the array is allocated on the first read of ``.grad``, so
 a model that is only evaluated holds no gradient memory, and a parameter that
 never joins a loss reads back as zero. Nothing rebinds a leaf's ``.data``
-after construction or its ``.grad`` after that first read, and a leaf copies
-the array it is built from, so in-place updates never reach the caller's
-array. Intermediate gradients are dropped as soon as they have been passed
+after construction or its ``.grad`` after that first read. ``Tensor(x,
+requires_grad=True)`` copies ``x``, so in-place updates never reach the
+caller's array; the library's own weights, drawn or zeroed in an array that
+nothing else holds, are adopted instead (``Tensor._adopt``), so each exists
+once. Intermediate gradients are dropped as soon as they have been passed
 on, and op outputs and constants keep ``.grad`` at None.
 
 An op hands ``_from_op`` each input paired with the function that maps the
@@ -88,7 +90,11 @@ def no_grad():
 
 
 class Tensor:
-    """A dense float64 array plus the bookkeeping for reverse-mode autodiff."""
+    """A dense float64 array plus the bookkeeping for reverse-mode autodiff.
+
+    A leaf built here copies the array it is given; ``_adopt`` builds one
+    around an array the library has just made, without a copy.
+    """
 
     __slots__ = ("data", "_grad", "requires_grad", "_parents", "_grad_fns")
 
@@ -102,6 +108,21 @@ class Tensor:
         self._grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[Callable[[np.ndarray], np.ndarray] | None, ...] = ()
+
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> Tensor:
+        """A trainable leaf that takes ``array`` as its ``.data`` without a copy.
+
+        For an array the library has just made and holds nowhere else. It must
+        already be float64 and C-ordered, as a copying leaf's would be; under
+        ``no_grad`` the leaf is a constant, as ``Tensor(x, requires_grad=True)`` is.
+        """
+        if array.dtype != np.float64 or not array.flags.c_contiguous:
+            order = "C-ordered" if array.flags.c_contiguous else "not C-ordered"
+            raise ContractError(f"a leaf adopts only a C-ordered float64 array, got {array.dtype}, {order}")
+        leaf = cls(array)
+        leaf.requires_grad = _GRAD_ENABLED
+        return leaf
 
     @property
     def grad(self) -> np.ndarray | None:

@@ -1,7 +1,5 @@
 """Convolution and pooling: loop oracles, hand values, finite differences."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -303,20 +301,13 @@ def test_fused_relu_is_bit_identical_to_relu_after(bsz, cin, size, k, stride, pa
     assert np.signbit(np.frombuffer(runs[0][0])[pre.reshape(-1) < 0]).all()
 
 
-def test_fused_relu_writes_no_second_output():
+def test_fused_relu_writes_no_second_output(peak_mib):
     rng = np.random.default_rng(7)
     x, w, b = rng.normal(size=(64, 3, 32, 32)), rng.normal(size=(32, 3, 9, 9)), rng.normal(size=32)
-    output = 64 * 32 * 24 * 24 * 8
-    peaks = []
-    for conv in (lambda: T.conv2d(x, w, b, relu=True), lambda: T.relu(T.conv2d(x, w, b))):
-        tracemalloc.start()
-        try:
-            with T.no_grad():
-                conv()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    fused, composed = peaks
+    output = 64 * 32 * 24 * 24 * 8 / 2**20
+    with T.no_grad():
+        fused = peak_mib(lambda: T.conv2d(x, w, b, relu=True))
+        composed = peak_mib(lambda: T.relu(T.conv2d(x, w, b)))
     assert fused <= composed - output / 2
 
 
@@ -347,18 +338,12 @@ def test_conv_rejects_a_bias_of_the_wrong_shape():
         T.conv2d(x, w, np.ones((1, 3, 1, 1)))
 
 
-def test_conv_patch_memory_is_bounded_by_the_block_buffer():
+def test_conv_patch_memory_is_bounded_by_the_block_buffer(peak_mib):
     rng = np.random.default_rng(6)
     x, w = rng.normal(size=(64, 3, 32, 32)), rng.normal(size=(32, 3, 9, 9))
-    full_patches = 64 * 24 * 24 * 3 * 9 * 9 * 8  # the whole batch's patch matrix, 68 MiB
-    tracemalloc.start()
-    try:
-        with T.no_grad():
-            T.conv2d(x, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < full_patches / 4
+    full_patches = 64 * 24 * 24 * 3 * 9 * 9 * 8 / 2**20  # the whole batch's patch matrix, 68 MiB
+    with T.no_grad():
+        assert peak_mib(T.conv2d, x, w) < full_patches / 4
 
 
 def test_maxpool_matches_loop_oracle():

@@ -1,11 +1,14 @@
 """Synthetic data: determinism, geometry, the ECAP container, and splits."""
 
+import hashlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from capsroute import data
 from capsroute.data import (
     _BLOCK,
     CHAMBER_ASPECT,
@@ -19,6 +22,7 @@ from capsroute.data import (
     _sample_rng,
     _scene,
     _seek,
+    _sha256,
     class_proportions,
     generate,
     load,
@@ -285,16 +289,52 @@ def test_ecap_round_trip_and_resave_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def struct_reference(ds: EchoDataset) -> bytes:
+    """The ECAP bytes of ``ds``, packed one sample at a time with ``struct``."""
+    expected = struct.pack("<4sIIHHH", b"ECAP", 1, *ds.images.shape)
+    for img, label, target in zip(ds.images, ds.labels, ds.reg_targets):
+        expected += img.astype("<f4").tobytes() + struct.pack("<Bf", int(label), float(target))
+    return expected
+
+
 def test_ecap_bytes_match_a_per_sample_struct_reference(tmp_path):
     ds = generate(small_cfg(n_samples=5, positive_ratio=0.4, image_size=(3, 16, 12),
                             width_normal=(3.0, 3.0), width_dilated=(5.0, 5.0),
                             translation_range=0.0))
     path = tmp_path / "ref.ecap"
     save(ds, path)
-    expected = struct.pack("<4sIIHHH", b"ECAP", 1, 5, 3, 16, 12)
-    for img, label, target in zip(ds.images, ds.labels, ds.reg_targets):
-        expected += img.astype("<f4").tobytes() + struct.pack("<Bf", int(label), float(target))
-    assert path.read_bytes() == expected
+    assert path.read_bytes() == struct_reference(ds)
+
+
+CHUNK = 4  # records per chunk under the small_chunks fixture
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Shrink the ECAP chunk budget to CHUNK records of a 1x16x12 or 3x16x12 image
+    (an odd byte count past each, which rounds down), so a few samples span chunks."""
+    def use(channels):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", CHUNK * (4 * channels * 16 * 12 + 5) + 3)
+    return use
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 2])
+def test_streamed_ecap_matches_the_struct_reference_and_loads_back_byte_for_byte(
+        tmp_path, small_chunks, channels, n):
+    small_chunks(channels)
+    rng = np.random.default_rng(n * channels)
+    images = rng.uniform(size=(n, channels, 16, 12)).astype(np.float32)
+    images[0, 0, 0, :2] = (-0.0, 1e-45)  # a negative zero and a subnormal keep their bits
+    ds = EchoDataset(images, (np.arange(n) % 2).astype(np.uint8), rng.uniform(size=n).astype(np.float32))
+    path = tmp_path / "chunked.ecap"
+    save(ds, path)
+    assert path.read_bytes() == struct_reference(ds)
+    back = load(path)
+    for got, want in ((back.images, ds.images), (back.labels, ds.labels),
+                      (back.reg_targets, ds.reg_targets)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ecap_file_size_formula(tmp_path):
@@ -341,6 +381,19 @@ def test_ecap_truncation_names_the_offset(tmp_path):
     assert f"byte offset {len(blob) - 10}" in str(err.value)
 
 
+def test_ecap_load_checks_each_read_against_the_size_it_expected(tmp_path, monkeypatch):
+    # A file that shrinks between its size check and its read ends in a format error.
+    path = tmp_path / "shrunk.ecap"
+    save(generate(small_cfg(n_samples=4, positive_ratio=0.25)), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) - 10])
+    monkeypatch.setattr(data.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert err.value.offset == len(blob) - 10
+    assert str(err.value).startswith(f"file ended at {len(blob) - 10} bytes while 4 samples need {len(blob)}")
+
+
 def test_ecap_bad_label_byte(tmp_path):
     path = tmp_path / "lab.ecap"
     cfg = small_cfg(n_samples=4, positive_ratio=0.25)
@@ -355,28 +408,53 @@ def test_ecap_bad_label_byte(tmp_path):
     assert err.value.offset == first_label_at
 
 
+def _stride(cfg) -> int:
+    c, h, w = cfg.image_size
+    return 4 * c * h * w + 1 + 4
+
+
+def _damage(path, *writes) -> None:
+    """Overwrite bytes of a saved file: each write is (offset, bytes)."""
+    blob = bytearray(path.read_bytes())
+    for at, value in writes:
+        blob[at:at + len(value)] = value
+    path.write_bytes(bytes(blob))
+
+
+def _f32(value) -> bytes:
+    return struct.pack("<f", value)
+
+
 @pytest.mark.parametrize("damage", ["pixel", "target"])
 def test_ecap_rejects_non_finite_values_naming_the_sample_offset(tmp_path, damage):
+    # save refuses a non-finite value, so the file is damaged after it is written.
     path = tmp_path / "nan.ecap"
     cfg = small_cfg(n_samples=4, positive_ratio=0.25)
-    ds = generate(cfg)
-    if damage == "pixel":
-        ds.images[2, 0, 5, 7] = np.nan
-    else:
-        ds.reg_targets[2] = np.inf
-    ds.images[3, 0, 0, 0] = -np.inf  # a later damaged sample is not the one named
-    save(ds, path)
+    save(generate(cfg), path)
     c, h, w = cfg.image_size
-    sample_at = 18 + 2 * (4 * c * h * w + 1 + 4)
+    sample_at = 18 + 2 * _stride(cfg)
+    bad_at = sample_at + 4 * (5 * w + 7) if damage == "pixel" else sample_at + _stride(cfg) - 4
+    later = 18 + 3 * _stride(cfg)  # a later damaged sample is not the one named
+    _damage(path, (bad_at, _f32(np.nan if damage == "pixel" else np.inf)), (later, _f32(-np.inf)))
     with pytest.raises(DataFormatError) as err:
         load(path)
     assert err.value.offset == sample_at
     assert f"byte offset {sample_at}" in str(err.value)
 
 
-def _stride(cfg) -> int:
-    c, h, w = cfg.image_size
-    return 4 * c * h * w + 1 + 4
+def test_ecap_non_finite_offset_names_the_first_damaged_sample_across_chunks(tmp_path, small_chunks):
+    small_chunks(1)
+    cfg = small_cfg(n_samples=3 * CHUNK, positive_ratio=0.25, image_size=(1, 16, 12),
+                    width_normal=(3.0, 3.0), width_dilated=(5.0, 5.0), translation_range=0.0)
+    path = tmp_path / "nan.ecap"
+    save(generate(cfg), path)
+    first, later = CHUNK + 1, 2 * CHUNK + 1  # in the second and the third chunk
+    _damage(path, (18 + later * _stride(cfg), _f32(np.nan)),
+            (18 + first * _stride(cfg) + _stride(cfg) - 4, _f32(-np.inf)))
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert err.value.offset == 18 + first * _stride(cfg)
+    assert str(err.value).startswith(f"sample {first} holds a non-finite pixel or target")
 
 
 def test_ecap_bad_label_in_a_later_sample_names_that_sample(tmp_path):
@@ -396,17 +474,28 @@ def test_ecap_bad_label_in_a_later_sample_names_that_sample(tmp_path):
 def test_ecap_bad_label_outranks_an_earlier_non_finite_pixel(tmp_path):
     path = tmp_path / "both.ecap"
     cfg = small_cfg(n_samples=4, positive_ratio=0.25)
-    ds = generate(cfg)
-    ds.images[0, 0, 3, 3] = np.nan
-    save(ds, path)
-    blob = bytearray(path.read_bytes())
+    save(generate(cfg), path)
+    w = cfg.image_size[2]
     label_at = 18 + 2 * _stride(cfg) + _stride(cfg) - 5
-    blob[label_at] = 255
-    path.write_bytes(bytes(blob))
+    _damage(path, (18 + 4 * (3 * w + 3), _f32(np.nan)), (label_at, b"\xff"))
     with pytest.raises(DataFormatError) as err:
         load(path)
     assert err.value.offset == label_at
     assert "got 255" in str(err.value)
+
+
+def test_ecap_bad_label_outranks_a_non_finite_pixel_in_an_earlier_chunk(tmp_path, small_chunks):
+    small_chunks(1)
+    cfg = small_cfg(n_samples=3 * CHUNK, positive_ratio=0.25, image_size=(1, 16, 12),
+                    width_normal=(3.0, 3.0), width_dilated=(5.0, 5.0), translation_range=0.0)
+    path = tmp_path / "both.ecap"
+    save(generate(cfg), path)
+    label_at = 18 + (2 * CHUNK + 1) * _stride(cfg) + _stride(cfg) - 5  # in the third chunk
+    _damage(path, (18 + 1 * _stride(cfg) + 8, _f32(np.nan)), (label_at, b"\x02"))
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert err.value.offset == label_at
+    assert str(err.value) == f"label byte must be 0 or 1, got 2 (byte offset {label_at})"
 
 
 def test_ecap_zero_sample_dataset_round_trips(tmp_path):
@@ -435,6 +524,72 @@ def test_ecap_load_returns_writeable_native_arrays(tmp_path):
                            (back.reg_targets, np.float32)):
             assert arr.dtype == dtype and arr.dtype.isnative
             assert arr.flags.writeable and arr.flags.c_contiguous
+
+
+def _no_data():
+    return np.zeros((3, 1, 8, 8), np.float32), np.ones(3, np.uint8), np.full(3, 0.5, np.float32)
+
+
+def _with(index, value):
+    """The three fields of _no_data with field ``index`` replaced by ``value``."""
+    fields = list(_no_data())
+    fields[index] = value
+    return fields
+
+
+def _nan_at(shape, where):
+    values = np.zeros(shape, np.float32)
+    values[where] = np.nan
+    return values
+
+
+_BIG = [np.broadcast_to(np.float32(0.0), (2**32, 1, 1, 1)),  # views: nothing is allocated
+        np.broadcast_to(np.uint8(0), (2**32,)), np.broadcast_to(np.float32(0.0), (2**32,))]
+
+
+@pytest.mark.parametrize("fields,named", [
+    (_with(1, np.ones(1, np.uint8)), "labels must hold one value for each of 3 images"),
+    (_with(2, np.full(1, 0.5, np.float32)), "reg_targets must hold one value for each of 3 images"),
+    (_with(2, np.full(4, 0.5, np.float32)), "reg_targets must hold one value for each of 3 images"),
+    (_with(0, np.zeros((3, 8, 8), np.float32)), "images must be [N, C, H, W]"),
+    (_with(1, np.array([0, 2, 1], np.uint8)), "labels must be 0 or 1, got 2 at sample 1"),
+    (_with(1, np.array([0.0, 1.0, 0.5])), "labels must be 0 or 1, got 0.5 at sample 2"),
+    (_with(0, _nan_at((3, 1, 8, 8), (2, 0, 7, 7))),
+     "images hold a value that is not finite as float32 at sample 2"),
+    (_with(0, np.full((3, 1, 8, 8), 1e39)), "images hold a value that is not finite as float32 at sample 0"),
+    (_with(2, np.array([0.5, np.inf, 0.5], np.float32)),
+     "reg_targets hold a value that is not finite as float32 at sample 1"),
+    (_with(0, np.zeros((3, 2**16, 1, 1), np.float32)), "images channels 65536 does not fit the header's u16"),
+    (_with(0, np.zeros((3, 1, 2**16, 1), np.float32)), "images height 65536 does not fit the header's u16"),
+    (_with(0, np.zeros((3, 1, 1, 2**16), np.float32)), "images width 65536 does not fit the header's u16"),
+    (_BIG, "images count 4294967296 does not fit the header's u32"),
+], ids=["short-labels", "short-targets", "long-targets", "3-d-images", "label-2", "label-0.5", "nan-pixel",
+        "float32-overflow", "inf-target", "channels", "height", "width", "count"])
+def test_ecap_save_rejects_what_load_would_not_read_back_before_opening_the_file(tmp_path, fields, named):
+    path = tmp_path / "refused.ecap"
+    with pytest.raises(ContractError) as err:
+        save(EchoDataset(*fields), path)
+    assert str(err.value).startswith(named)
+    assert not path.exists()
+
+
+def test_ecap_save_and_load_stay_within_a_chunk_of_the_arrays_they_move(tmp_path, peak_mib):
+    ds = generate(SynthConfig(n_samples=512, image_size=(3, 32, 32), seed=27))
+    path = tmp_path / "big.ecap"
+    save(ds, path)  # the first call's lazy set-up is not the call's memory
+    assert peak_mib(save, ds, path) <= 1.0
+    arrays = sum(a.nbytes for a in (ds.images, ds.labels, ds.reg_targets))
+    assert peak_mib(load, path) <= arrays / 2**20 + 1.0
+
+
+def test_file_sha256_matches_hashlib_across_chunks_within_a_chunk_of_memory(tmp_path, monkeypatch, peak_mib):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(5).bytes(6 << 20))
+    want = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert _sha256(path) == want
+    assert peak_mib(_sha256, path) <= 1.0
+    monkeypatch.setattr(data, "_CHUNK_BYTES", 4093)  # a prime: the last chunk is short
+    assert _sha256(path) == want
 
 
 # ---------------------------------------------------------------------- splits

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from capsroute.errors import ConfigurationError, TrainingAborted
+from capsroute.errors import ConfigurationError, ContractError, TrainingAborted
 from capsroute import optim
 from capsroute.optim import Adam
 from capsroute.tensor import Tensor, no_grad
@@ -137,6 +137,25 @@ def test_step_leaves_the_array_a_parameter_was_built_from_alone():
     opt.step()
     assert_array_equal(values, [1.0, -2.0])
     assert not np.array_equal(p.data, values)
+
+
+def test_an_adopted_leaf_is_the_array_it_was_built_from():
+    values = np.array([1.0, -2.0])
+    p = Tensor._adopt(values)
+    assert p.data is values and p.requires_grad and p._grad is None
+    opt = Adam([("p", p)], lr=0.1)
+    (p * p).sum().backward()
+    opt.step()
+    assert p.data is values and not np.array_equal(values, [1.0, -2.0])
+    with no_grad():
+        assert not Tensor._adopt(np.zeros(2)).requires_grad
+
+
+@pytest.mark.parametrize("array", [np.zeros(3, np.float32), np.zeros((3, 2)).T, np.zeros(6)[::2]],
+                         ids=["float32", "fortran-order", "strided"])
+def test_adopt_rejects_an_array_a_copying_leaf_would_convert(array):
+    with pytest.raises(ContractError, match="C-ordered float64"):
+        Tensor._adopt(array)
 
 
 def test_a_gradient_is_allocated_on_first_read_and_kept_through_backward_zero_grad_and_step():

@@ -1,7 +1,5 @@
 """Tensor core: forward values, broadcasting, and backward contracts."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -138,30 +136,22 @@ def test_vector_norm_keeps_the_composed_bits_for_every_short_and_long_axis(scale
         assert T.vector_norm(leaf(x[0, 3])).data.tobytes() == _composed_vector_norm(x[0, 3]).tobytes(), d
 
 
-def _traced_peak(op, x):
-    tracemalloc.start()
-    try:
-        with no_grad():
-            out = op(x)
-        return tracemalloc.get_traced_memory()[1], out.data.nbytes
-    finally:
-        tracemalloc.stop()
-
-
-def test_softmax_and_vector_norm_allocate_no_full_size_temporary():
+def test_softmax_and_vector_norm_allocate_no_full_size_temporary(peak_mib):
     # Beyond its output, each op may hold one array of its sum's shape (softmax's
     # [B, 1, N] sum, one squared column of vector_norm) plus a small constant.
     # The composed formulas held two more outputs (softmax) or the whole
     # squared input (vector_norm).
     rng = np.random.default_rng(22)
-    slack = 128 << 10
-    for axis in (1, 2):
-        x = rng.normal(size=(60, 2, 784))
-        peak, out = _traced_peak(lambda t: T.softmax(t, axis), x)
-        assert peak <= out + out // x.shape[axis] + slack, axis
-    for d in (1, 4, 7):
-        peak, out = _traced_peak(T.vector_norm, rng.normal(size=(60, 784, d)))
-        assert peak <= (1 if d == 1 else 2) * out + slack, d
+    slack = 1 / 8  # MiB
+    with no_grad():
+        for axis in (1, 2):
+            x = rng.normal(size=(60, 2, 784))
+            out = x.nbytes / 2**20
+            assert peak_mib(T.softmax, x, axis) <= out + out / x.shape[axis] + slack, axis
+        for d in (1, 4, 7):
+            x = rng.normal(size=(60, 784, d))
+            out = x.nbytes / d / 2**20
+            assert peak_mib(T.vector_norm, x) <= (1 if d == 1 else 2) * out + slack, d
 
 
 def test_sigmoid_matches_closed_form():

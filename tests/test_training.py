@@ -179,21 +179,49 @@ def test_every_parameter_gets_a_gradient_above_rounding_noise(overrides):
     assert [name for name, g in largest.items() if g < floor] == []
 
 
-def test_building_the_default_model_holds_no_gradient_memory():
-    # 983,121 parameters at 3x32x32; a gradient array waits for its first read.
-    def build():
-        return build_model(ModelConfig(), (3, 32, 32), MarginLossParams(),
-                           WeightedLossParams(class_proportions=(0.5, 0.5)), seed=3)
+def default_model():
+    """The default capsule model at 3x32x32: 983,121 parameters, 7.5 MiB."""
+    return build_model(ModelConfig(), (3, 32, 32), MarginLossParams(),
+                       WeightedLossParams(class_proportions=(0.5, 0.5)), seed=3)
 
-    build()  # the first build's lazy imports are not the model's memory
+
+def test_building_the_default_model_holds_no_gradient_memory():
+    # A gradient array waits for its first read.
+    default_model()  # the first build's lazy imports are not the model's memory
     tracemalloc.start()
     try:
-        model = build()
+        model = default_model()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     param_bytes = sum(p.data.nbytes for _, p in model.parameters())
     assert param_bytes <= held <= 1.1 * param_bytes
+
+
+def test_building_the_default_model_peaks_at_its_parameters(peak_mib):
+    # Each weight is drawn or zeroed in the array its leaf adopts: no copy is staged.
+    default_model()
+    param_bytes = sum(p.data.nbytes for _, p in default_model().parameters())
+    assert peak_mib(default_model) <= 1.05 * param_bytes / 2**20
+
+
+ARCHITECTURE_VARIANTS = pytest.mark.parametrize(
+    "overrides",
+    [{}, {"affine_kind": "conv", "routing": RoutingSpec(method="dynamic")}, {"affine_kind": "constant"},
+     {"architecture": "cnn1"}, {"architecture": "cnn2"}],
+    ids=["attention-shared", "dynamic-conv", "constant", "cnn1", "cnn2"],
+)
+
+
+@ARCHITECTURE_VARIANTS
+def test_adopted_parameters_equal_a_copying_build_byte_for_byte(monkeypatch, overrides):
+    adopted = tiny_model(**overrides)
+    monkeypatch.setattr(Tensor, "_adopt", classmethod(lambda cls, array: cls(array, requires_grad=True)))
+    copied = tiny_model(**overrides)
+    for (name, a), (_, b) in zip(adopted.parameters(), copied.parameters(), strict=True):
+        assert a.requires_grad and a._parents == () and a._grad is None, name
+        assert a.data.dtype == np.float64 and a.data.flags.c_contiguous and a.data.flags.writeable, name
+        assert a.data.shape == b.data.shape and a.data.tobytes() == b.data.tobytes(), name
 
 
 def test_capsule_grid_matches_conv_arithmetic():
@@ -609,6 +637,25 @@ def test_save_load_round_trip_restores_predictions(tmp_path):
     preds_after, scores_after = clone.predict(images)
     assert np.array_equal(preds_src, preds_after)
     assert np.array_equal(scores_src, scores_after)
+
+
+@ARCHITECTURE_VARIANTS
+def test_save_params_members_equal_np_savez_members(tmp_path, overrides):
+    model = tiny_model(**overrides)
+    ours, reference = tmp_path / "ours.npz", tmp_path / "reference.npz"
+    save_params(model, ours)
+    np.savez(reference, **{name: p.data for name, p in model.parameters()})
+    with zipfile.ZipFile(ours) as a, zipfile.ZipFile(reference) as b:
+        got, want = a.infolist(), b.infolist()
+        assert [(i.filename, i.file_size, i.CRC, i.compress_type) for i in got] == \
+            [(i.filename, i.file_size, i.CRC, i.compress_type) for i in want]
+        assert all(a.read(x) == b.read(y) for x, y in zip(got, want))
+
+
+def test_save_params_stages_no_copy_of_a_parameter(tmp_path, peak_mib):
+    model, path = default_model(), tmp_path / "model.npz"
+    save_params(model, path)
+    assert peak_mib(save_params, model, path) <= 1.0
 
 
 def test_train_and_load_params_write_into_the_parameters_own_arrays(tmp_path):
