@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, check_integer
+from .errors import ConfigurationError, DimensionError, check_fields, check_integer
 from .tensor import (
     Tensor,
     conv2d,
@@ -237,17 +237,14 @@ class RoutingSpec:
     only matter for the attention method.
     """
 
-    method: str = "attention"  # "dynamic" | "attention"
-    iterations: int = 3
-    softmax_axis: str = "input_caps"  # "input_caps" | "output_caps"
-    scale_by_sqrt_d: bool = False
+    method: str = field(default="attention", metadata={"key": "routing_method",
+                                                         "choices": ("dynamic", "attention")})
+    iterations: int = field(default=3, metadata={"key": "routing_iterations"})
+    softmax_axis: str = field(default="input_caps", metadata={"key": "attention_softmax_axis",
+                                                              "choices": tuple(_SOFTMAX_AXES)})
+    scale_by_sqrt_d: bool = field(default=False, metadata={"key": "attention_scale_by_sqrt_d"})
 
-    def __post_init__(self):
-        if self.method not in ("dynamic", "attention"):
-            raise ConfigurationError(f"unknown routing_method: {self.method!r}")
-        check_integer("routing_iterations", self.iterations, 1)
-        if self.softmax_axis not in _SOFTMAX_AXES:
-            raise ConfigurationError(f"unknown attention_softmax_axis: {self.softmax_axis!r}")
+    __post_init__ = check_fields  # each rule here is one field's own
 
 
 @dataclass

@@ -2,12 +2,12 @@
 
 A config file contains one ``key=value`` pair per line; blank lines and
 ``#`` comments are ignored. Each field of the config dataclasses is a key
-whose default and parser come from the field's default and type (a tuple
-value must keep the default's length); the few exceptions are stated below.
-The README's configuration tables are the one description of each key.
-Unknown keys and malformed or non-finite values raise ``ConfigurationError``.
-Command-line ``--set key=value`` pairs override file values, which override
-the defaults.
+whose default and parser come from the field's default (a tuple value must
+keep the default's length), unless its ``key`` metadata renames it or, as
+None, drops it; the split keys, owned by no dataclass, are stated below.
+The README's configuration tables describe each key. Unknown keys and
+malformed or non-finite values raise ``ConfigurationError``. Command-line
+``--set key=value`` pairs override file values, which override the defaults.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from .capsules import RoutingSpec
 from .data import SynthConfig
 from .errors import ConfigurationError
 from .losses import MarginLossParams, WeightedLossParams
@@ -27,27 +26,17 @@ from .training import TrainConfig
 
 __all__ = ["SCHEMA", "parse_config_file", "resolve", "build"]
 
-# Keys not named after their field: the generator seed must not collide with the
-# training seed, and each routing key names the routing it sets.
-_RENAMED = {
-    (SynthConfig, "seed"): "data_seed",
-    (RoutingSpec, "method"): "routing_method",
-    (RoutingSpec, "iterations"): "routing_iterations",
-    (RoutingSpec, "softmax_axis"): "attention_softmax_axis",
-    (RoutingSpec, "scale_by_sqrt_d"): "attention_scale_by_sqrt_d",
-}
-_NOT_KEYS = {(WeightedLossParams, "class_proportions")}  # set from the train split
-
 
 def _keys(cls: type) -> dict[str, tuple[type, str, Any]]:
-    """key -> (owning dataclass, field name, default) for each key field of ``cls``, in
-    order; a field holding a config dataclass (``ModelConfig.routing``) adds its keys."""
+    """key -> (owning dataclass, field name, default) for each key of ``cls``, in order: a field's
+    ``key`` metadata renames it or, if None, drops it; ``ModelConfig.routing`` adds its class's keys."""
     keys = {}
     for f in fields(cls):
+        key = f.metadata.get("key", f.name)
         if is_dataclass(f.default_factory):
             keys.update(_keys(f.default_factory))
-        elif (cls, f.name) not in _NOT_KEYS:
-            keys[_RENAMED.get((cls, f.name), f.name)] = (cls, f.name, f.default)
+        elif key is not None:
+            keys[key] = (cls, f.name, f.default)
     return keys
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigurationError, ContractError, DataFormatError, StratificationError, check_finite,
-                     check_integer)
+from .errors import (ConfigurationError, ContractError, DataFormatError, StratificationError, check_fields,
+                     check_finite, check_integer, key_of)
 
 __all__ = ["SynthConfig", "EchoDataset", "generate", "save", "load", "check_split", "split",
            "class_proportions"]
@@ -50,23 +50,13 @@ class SynthConfig:
     width_normal: tuple[float, float] = (6.0, 9.0)
     width_dilated: tuple[float, float] = (10.0, 13.0)
     noise_sigma: float = 0.08
-    seed: int = 10
+    seed: int = field(default=10, metadata={"key": "data_seed", "min": 0})  # not the training seed
     allow_width_overlap: bool = False
 
     def __post_init__(self):
-        for f in fields(self):  # arity first: the checks below unpack and compare
-            value, want = getattr(self, f.name), np.shape(f.default)
-            if np.shape(value) != want:
-                count = f"{want[0]} values" if want else "a single value"
-                raise ConfigurationError(f"{f.name} expects {count}, got {value!r}")
-        check_integer("n_samples", self.n_samples, 1)
-        check_integer("image_size", self.image_size, 1)
-        check_integer("seed (data_seed)", self.seed, 0)
+        check_fields(self)
         if self.seed >= 2**64:
-            raise ConfigurationError(f"seed (data_seed) must lie in [0, 2**64), got {self.seed}")
-        for name in ("positive_ratio", "rotation_range_train", "rotation_range_test", "translation_range",
-                     "width_normal", "width_dilated", "noise_sigma"):
-            check_finite(name, getattr(self, name))
+            raise ConfigurationError(f"{key_of(self, 'seed')} must lie in [0, 2**64), got {self.seed}")
         c, h, w = self.image_size
         if c not in (1, 3):
             raise ConfigurationError(f"image_size needs 1 or 3 channels, got {c}")

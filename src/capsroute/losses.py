@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, check_finite
+from .errors import ConfigurationError, ContractError, check_fields
 from .tensor import Tensor, log_softmax, relu, scale, square
 
 __all__ = [
@@ -29,8 +29,7 @@ class MarginLossParams:
     negative_weight: float = 0.5
 
     def __post_init__(self):
-        for name in ("m_plus", "m_minus", "negative_weight"):
-            check_finite(name, getattr(self, name))
+        check_fields(self)
         if not (0.0 <= self.m_minus < self.m_plus <= 1.0):
             raise ConfigurationError(
                 f"margins must satisfy 0 <= m_minus < m_plus <= 1, got "
@@ -50,22 +49,20 @@ class WeightedLossParams:
     which reduces the classification term to the plain margin loss.
     """
 
-    class_proportions: tuple[float, ...] = (0.5, 0.5)
-    weight_mode: str = "inverse"  # "literal" | "inverse" | "uniform"
+    # one per class (ModelConfig.n_classes); no config key, since the train split sets them
+    class_proportions: tuple[float, float] = field(default=(0.5, 0.5), metadata={"key": None})
+    weight_mode: str = field(default="inverse", metadata={"choices": ("literal", "inverse", "uniform")})
     lambda_reg: float = 0.05
     lambda_recon: float = 0.0005
 
     def __post_init__(self):
-        if self.weight_mode not in ("literal", "inverse", "uniform"):
-            raise ConfigurationError(f"unknown weight_mode: {self.weight_mode!r}")
+        check_fields(self)
         for name in ("lambda_reg", "lambda_recon"):
-            check_finite(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        p = np.asarray(self.class_proportions, dtype=np.float64)
-        if p.ndim != 1 or p.size < 2 or not np.all(p >= 0) or not abs(p.sum() - 1.0) <= 1e-9:
+        if min(self.class_proportions) < 0 or abs(sum(self.class_proportions) - 1.0) > 1e-9:
             raise ConfigurationError(
-                f"class_proportions must be finite, non-negative and sum to 1, got {self.class_proportions}"
+                f"class_proportions must be non-negative and sum to 1, got {self.class_proportions}"
             )
 
     def class_weights(self) -> np.ndarray:

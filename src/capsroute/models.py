@@ -32,7 +32,7 @@ from .capsules import (
     classify,
     conv_params,
 )
-from .errors import ConfigurationError, check_integer
+from .errors import ConfigurationError, check_fields, check_integer
 from .losses import (
     MarginLossParams,
     WeightedLossParams,
@@ -68,25 +68,16 @@ class ModelConfig:
 
     n_classes: ClassVar[int] = 2
 
-    architecture: str = "cardiocaps"
+    architecture: str = field(default="cardiocaps", metadata={"choices": ARCHITECTURES})
     hidden_dim: int = 32
     conv_kernel: int = 9
     d_primary: int = 8
     d_digit: int = 16
-    affine_kind: str = "shared"  # "shared" | "conv" | "constant"
+    affine_kind: str = field(default="shared", metadata={"choices": ("shared", "conv", "constant")})
     routing: RoutingSpec = field(default_factory=RoutingSpec)
     decoder_hidden: tuple[int, int] = (128, 256)
 
-    def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigurationError(f"unknown architecture: {self.architecture!r}")
-        if self.affine_kind not in ("shared", "conv", "constant"):
-            raise ConfigurationError(f"unknown affine_kind: {self.affine_kind!r}")
-        for name in ("hidden_dim", "conv_kernel", "d_primary", "d_digit"):
-            check_integer(name, getattr(self, name), 1)
-        if len(self.decoder_hidden) != 2:
-            raise ConfigurationError(f"decoder_hidden must be two widths, got {self.decoder_hidden}")
-        check_integer("decoder_hidden", self.decoder_hidden, 1)
+    __post_init__ = check_fields  # each rule here is one field's own
 
 
 class CapsuleClassifier:

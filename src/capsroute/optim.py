@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ConfigurationError, TrainingAborted
+from .errors import ConfigurationError, TrainingAborted, check_finite
 from .tensor import Tensor
 
 __all__ = ["Adam"]
@@ -30,7 +28,8 @@ class Adam:
     """
 
     def __init__(self, params: list[tuple[str, Tensor]], lr: float = 1e-4):
-        if not (math.isfinite(lr) and lr > 0):
+        check_finite("lr", lr)
+        if lr <= 0:
             raise ConfigurationError(f"Adam needs a finite lr > 0, got lr={lr}")
         self.params = list(params)
         for name, p in self.params:

@@ -13,7 +13,6 @@ caller's thread count (see ``blas.one_blas_thread``).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .data import EchoDataset
-from .errors import ConfigurationError, check_integer
+from .errors import ConfigurationError, check_fields, check_integer
 from .metrics import MetricsReport, format_value
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -35,12 +34,11 @@ class TrainConfig:
     batch_size: int = 8
     max_epochs: int = 100
     patience: int = 5
-    seed: int = 10
+    seed: int = field(default=10, metadata={"min": 0})
 
     def __post_init__(self):
-        for name, minimum in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
-            check_integer(name, getattr(self, name), minimum)
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        check_fields(self)
+        if self.lr <= 0:
             raise ConfigurationError(f"Adam needs a finite lr > 0, got lr={self.lr}")
 
 
@@ -110,8 +108,7 @@ def _batches(dataset: EchoDataset, batch_size: int, order: np.ndarray | None = N
 def _check_eval_args(fn: str, dataset: EchoDataset, batch_size: int) -> None:
     if len(dataset) == 0:
         raise ConfigurationError(f"{fn}() needs a non-empty dataset")
-    if batch_size < 1:
-        raise ConfigurationError(f"{fn}() needs batch_size >= 1, got {batch_size}")
+    check_integer("batch_size", batch_size, 1)
 
 
 @one_blas_thread()

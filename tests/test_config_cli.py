@@ -13,9 +13,11 @@ from capsroute import (
     ConfigurationError,
     MarginLossParams,
     ModelConfig,
+    RoutingSpec,
     SynthConfig,
     TrainConfig,
     WeightedLossParams,
+    config,
     data,
     experiment,
 )
@@ -117,10 +119,10 @@ def _as_float(value):
 @pytest.mark.parametrize("cls,name,key", _INTEGER_FIELDS)
 def test_integer_fields_reject_a_float_naming_the_key(cls, name, key):
     default = getattr(cls(), name)
-    with pytest.raises(ConfigurationError, match=rf"\b{key}\)? must be (an integer|integers), got"):
+    with pytest.raises(ConfigurationError, match=rf"\b{key} must be (an integer|integers), got"):
         cls(**{name: _as_float(default)})
     fractional = default + 0.5 if isinstance(default, int) else (default[0] + 0.5, *default[1:])
-    with pytest.raises(ConfigurationError, match=rf"\b{key}\)? must be"):
+    with pytest.raises(ConfigurationError, match=rf"\b{key} must be"):
         cls(**{name: fractional})
     as_numpy = tuple(map(np.int64, default)) if isinstance(default, tuple) else np.int64(default)
     assert getattr(cls(**{name: as_numpy}), name) == default
@@ -138,6 +140,7 @@ _FLOAT_FIELDS = [
                                         "translation_range", "width_normal", "width_dilated", "noise_sigma")],
     *[(WeightedLossParams, name) for name in ("class_proportions", "lambda_reg", "lambda_recon")],
     *[(MarginLossParams, name) for name in ("m_plus", "m_minus", "negative_weight")],
+    (TrainConfig, "lr"),
 ]
 
 
@@ -148,6 +151,48 @@ def test_float_fields_reject_non_finite_values_naming_the_key(cls, name, bad):
     value = (bad, *default[1:]) if isinstance(default, tuple) else bad
     with pytest.raises(ConfigurationError, match=rf"^{name} must be finite"):
         cls(**{name: value})
+
+
+_BOOL_FIELDS = [(SynthConfig, "allow_width_overlap", "allow_width_overlap"),
+                (RoutingSpec, "scale_by_sqrt_d", "attention_scale_by_sqrt_d")]
+
+
+@pytest.mark.parametrize("value", ["no", "false", 1, None])
+@pytest.mark.parametrize("cls,name,key", _BOOL_FIELDS)
+def test_bool_fields_reject_a_value_that_is_not_a_bool_naming_the_key(cls, name, key, value):
+    # A truthy string such as "no" used to switch the option on.
+    with pytest.raises(ConfigurationError, match=rf"^{key} must be a bool"):
+        cls(**{name: value})
+    assert getattr(cls(**{name: np.bool_(True)}), name)
+
+
+@pytest.mark.parametrize("bad", ["0.1", [0.1], True, None])
+@pytest.mark.parametrize("cls,name", _FLOAT_FIELDS)
+def test_float_fields_reject_a_value_that_is_not_a_real_number_naming_the_key(cls, name, bad):
+    default = getattr(cls(), name)
+    value = (bad, *default[1:]) if isinstance(default, tuple) else bad
+    what = "real numbers" if isinstance(default, tuple) else "a real number"
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be {what}, got"):
+        cls(**{name: value})
+
+
+def test_class_proportions_take_one_share_per_model_class_when_built():
+    # A third share used to pass, and failed only at the first loss.
+    with pytest.raises(ConfigurationError, match=r"^class_proportions expects 2 values"):
+        WeightedLossParams(class_proportions=(0.5, 0.3, 0.2))
+    assert len(WeightedLossParams().class_proportions) == ModelConfig.n_classes
+
+
+@pytest.mark.parametrize("value", ["dynamic", None, {"method": "dynamic"}])
+def test_model_config_routing_must_be_a_routing_spec(value):
+    with pytest.raises(ConfigurationError, match=r"^routing must be a RoutingSpec"):
+        ModelConfig(routing=value)
+
+
+def test_split_names_split_fractions_given_strings():
+    ds = data.generate(SynthConfig(n_samples=20, positive_ratio=0.5))
+    with pytest.raises(ConfigurationError, match=r"^split_fractions must be real numbers"):
+        data.split(ds, ("0.8", "0.1", "0.1"), 1)
 
 
 def _malformed_values():
@@ -222,11 +267,17 @@ def test_builders_map_config_keys():
 
 
 def test_readme_config_tables_list_every_key_with_its_default():
+    # ... and each key that takes one of a few strings lists its field's choices, in order.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Configuration keys", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \|", section, flags=re.MULTILINE)
-    assert [key for key, _ in rows] == list(SCHEMA)
-    assert dict(rows) == config_snapshot(resolve())
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*?) \| (.*) \|$", section, flags=re.MULTILINE)
+    assert [key for key, _, _ in rows] == list(SCHEMA)
+    assert {key: default for key, default, _ in rows} == config_snapshot(resolve())
+    listed = {key: re.findall(r"`(\w+)`", meaning) for key, _, meaning in rows}
+    choices = {key: list(owner.__dataclass_fields__[name].metadata["choices"])
+               for key, (owner, name, default) in config._FIELDS.items() if isinstance(default, str)}
+    assert len(choices) == 5
+    assert {key: listed[key] for key in choices} == choices
 
 
 # ------------------------------------------------------------------ CLI surface
@@ -528,7 +579,7 @@ def _forbid(monkeypatch, owner, *names):
 def test_run_experiment_rejects_an_infinite_lr_before_any_data_work(monkeypatch):
     # The command line rejects inf when parsing; a config dict reaches run_experiment as is.
     _forbid(monkeypatch, experiment, "generate", "load")
-    with pytest.raises(ConfigurationError, match="finite lr"):
+    with pytest.raises(ConfigurationError, match="lr must be finite"):
         experiment.run_experiment({**resolve(), "lr": float("inf")})
 
 

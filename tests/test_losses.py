@@ -205,10 +205,10 @@ def test_weighted_params_validation():
 
 
 def test_mismatched_class_count_rejected():
-    params = WeightedLossParams(class_proportions=(0.5, 0.3, 0.2))
-    with pytest.raises(ConfigurationError):
-        weighted_capsule_loss(leaf(np.zeros((1, 2))), np.array([[1.0, 0.0]]),
-                              *exact_heads(1), DEFAULTS, params)
+    # Two class proportions, one per ModelConfig class, against three capsule classes.
+    with pytest.raises(ConfigurationError, match="2 class proportions for 3 capsule classes"):
+        weighted_capsule_loss(leaf(np.zeros((1, 3))), np.array([[1.0, 0.0, 0.0]]),
+                              *exact_heads(1), DEFAULTS, WeightedLossParams())
 
 
 # -------------------------------------------------------------- cross entropy

@@ -186,7 +186,8 @@ def test_zero_grad_clears_accumulated_gradients():
     assert_array_equal(grad, [0.0])
 
 
-@pytest.mark.parametrize("value", [float("nan"), -0.1, float("inf")])
+# A string or a list used to end as a bare TypeError, and True trained at lr 1.0.
+@pytest.mark.parametrize("value", [float("nan"), -0.1, float("inf"), "0.1", [1e-3], True])
 def test_adam_rejects_out_of_range_arguments(value):
     with pytest.raises(ConfigurationError, match="lr"):
         Adam([("p", param([1.0]))], lr=value)

@@ -562,7 +562,7 @@ def test_train_config_rejects_values_outside_their_range(field, value):
 
 @pytest.mark.parametrize("widths", [(6, 7, 9), (6,), ()])
 def test_model_config_rejects_a_decoder_that_is_not_two_widths(widths):
-    with pytest.raises(ConfigurationError, match="decoder_hidden must be two widths"):
+    with pytest.raises(ConfigurationError, match="decoder_hidden expects 2 values"):
         ModelConfig(decoder_hidden=widths)
 
 
@@ -615,7 +615,16 @@ def test_validation_loss_rejects_empty_dataset():
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_evaluation_rejects_a_non_positive_batch_size(fn, batch_size):
     train_set, _, _ = tiny_splits()
-    with pytest.raises(ConfigurationError, match=f"batch_size >= 1, got {batch_size}"):
+    with pytest.raises(ConfigurationError, match=f"batch_size must be >= 1, got {batch_size}"):
+        fn(tiny_model(), train_set, batch_size)
+
+
+@pytest.mark.parametrize("fn", [evaluate, validation_loss])
+@pytest.mark.parametrize("batch_size", [2.5, np.float64(4.0), True, "8"])
+def test_evaluation_rejects_a_batch_size_that_is_not_an_integer(fn, batch_size):
+    # A float escaped from range() as a TypeError, and True ran at batch 1.
+    train_set, _, _ = tiny_splits()
+    with pytest.raises(ConfigurationError, match="^batch_size must be an integer"):
         fn(tiny_model(), train_set, batch_size)
 
 
